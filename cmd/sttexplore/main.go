@@ -129,11 +129,12 @@ run flags:
   -store DIR
           persistent evaluation store (all commands; default off): every
           finished simulation's counters are cached on disk, addressed
-          by the content of the evaluation (trace bytes + canonical
-          configuration + energy-model parameters + schema version); a
-          warm hit skips the timing model entirely. Results are
-          byte-identical with or without it. Safe to share between
-          concurrent processes.
+          by the content of the evaluation (compiled kernel and its
+          initial data + canonical configuration + energy-model
+          parameters + schema version); a warm hit skips trace capture
+          and the timing model entirely. Results are byte-identical
+          with or without it. Safe to share between concurrent
+          processes.
   -cpuprofile/-memprofile FILE
           write pprof profiles (all commands)
 
@@ -334,7 +335,7 @@ func storeFlag(fs *flag.FlagSet) func() (*store.Store, error) {
 // with an attached store.
 func reportStore(suite *experiments.Suite, st *store.Store) {
 	if st != nil {
-		fmt.Fprintf(os.Stderr, "store: %s\n", suite.StoreStats())
+		fmt.Fprintf(os.Stderr, "store: %s, %d capture(s)\n", suite.StoreStats(), suite.Captures())
 	}
 }
 

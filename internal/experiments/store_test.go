@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sttdl1/internal/dse"
 	"sttdl1/internal/energy"
 	"sttdl1/internal/polybench"
 	"sttdl1/internal/sim"
@@ -56,6 +57,21 @@ func TestSuiteStoreWarmHit(t *testing.T) {
 	s2.SetStore(warm)
 	var counters stats.Counters
 	s2.SetProgress(counters.Observe)
+	// Stored derives its key from a compile alone: answering it, for a
+	// stored point or an absent one, never executes the kernel.
+	for _, cfg := range cfgs {
+		if !s2.Stored(b, cfg) {
+			t.Errorf("%s: Stored() = false after the cold run", cfg.Name)
+		}
+	}
+	absent := sim.ProposalVWB()
+	absent.DL1Banks = 8
+	if s2.Stored(b, absent) {
+		t.Error("Stored() = true for a configuration never run")
+	}
+	if got := s2.Captures(); got != 0 {
+		t.Errorf("Stored() performed %d capture(s), want 0", got)
+	}
 	for i, cfg := range cfgs {
 		r, err := s2.Run(b, cfg)
 		if err != nil {
@@ -89,6 +105,121 @@ func TestSuiteStoreWarmHit(t *testing.T) {
 	}
 	if got := s2.StoreStats().Hits; got != int64(len(cfgs)) {
 		t.Errorf("StoreStats().Hits = %d, want %d", got, len(cfgs))
+	}
+	if got := s2.Captures(); got != 0 {
+		t.Errorf("warm run performed %d capture(s), want 0", got)
+	}
+}
+
+// smokeCSV evaluates the smoke space on a fresh suite (over dir's store
+// when dir is non-empty) and returns the rendered CSV, the suite's
+// capture count and the store's counters.
+func smokeCSV(t *testing.T, benches []polybench.Bench, dir string) (string, int, store.Stats) {
+	t.Helper()
+	sp, ok := dse.ByName("smoke")
+	if !ok {
+		t.Fatal("smoke space not registered")
+	}
+	s := NewSuiteJobs(benches, 2)
+	var st *store.Store
+	if dir != "" {
+		var err error
+		if st, err = store.Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		s.SetStore(st)
+	}
+	ev, err := dse.Evaluate(s, benches, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev.PointsTable().CSV(), s.Captures(), s.StoreStats()
+}
+
+// TestWarmSweepNeverCaptures pins the point of keying the store on the
+// functional digest: a fresh suite sweeping smoke against a populated
+// store renders the store-less bytes without executing any kernel.
+func TestWarmSweepNeverCaptures(t *testing.T) {
+	dir := t.TempDir()
+	benches := []polybench.Bench{storeBench(t)}
+	want, _, _ := smokeCSV(t, benches, "")
+
+	cold, coldCaptures, _ := smokeCSV(t, benches, dir)
+	if cold != want {
+		t.Fatalf("cold store sweep differs from the store-less run:\n%s\nwant:\n%s", cold, want)
+	}
+	if coldCaptures == 0 {
+		t.Fatal("cold sweep reported no captures")
+	}
+	warm, warmCaptures, st := smokeCSV(t, benches, dir)
+	if warm != want {
+		t.Errorf("warm sweep differs from the store-less run:\n%s\nwant:\n%s", warm, want)
+	}
+	if warmCaptures != 0 {
+		t.Errorf("warm sweep performed %d capture(s), want 0", warmCaptures)
+	}
+	if st.Hits == 0 || st.Misses != 0 {
+		t.Errorf("warm sweep store stats = %+v, want all hits", st)
+	}
+}
+
+// TestStaleSchemaReevaluates rewrites every record of a populated store
+// as a previous-schema record: Verify removes them as stale without
+// counting corruption, and the next sweep re-evaluates to the same
+// bytes.
+func TestStaleSchemaReevaluates(t *testing.T) {
+	dir := t.TempDir()
+	benches := []polybench.Bench{storeBench(t)}
+	want, _, coldStats := smokeCSV(t, benches, dir)
+
+	n := 0
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || filepath.Ext(path) != ".rec" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rec, err := store.DecodeRecord(data)
+		if err != nil {
+			return err
+		}
+		rec.Schema = store.SchemaVersion - 1
+		if data, err = store.EncodeRecord(rec); err != nil {
+			return err
+		}
+		n++
+		return os.WriteFile(path, data, 0o666)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 || int64(n) != coldStats.Writes {
+		t.Fatalf("rewrote %d record(s), cold sweep wrote %d", n, coldStats.Writes)
+	}
+
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := st.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Stale != n || d.Healed != 0 || d.Records != 0 {
+		t.Errorf("Verify = %+v, want %d stale, 0 healed, 0 surviving", d, n)
+	}
+	if got := st.Stats().Corrupt; got != 0 {
+		t.Errorf("Verify counted %d stale record(s) as corrupt", got)
+	}
+
+	got, _, warmStats := smokeCSV(t, benches, dir)
+	if got != want {
+		t.Errorf("re-evaluated sweep differs from the original:\n%s\nwant:\n%s", got, want)
+	}
+	if warmStats.Hits != 0 || warmStats.Writes != coldStats.Writes {
+		t.Errorf("sweep after Verify: %+v, want 0 hits and %d writes", warmStats, coldStats.Writes)
 	}
 }
 

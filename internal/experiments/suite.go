@@ -48,10 +48,10 @@ type Suite struct {
 	traces *replay.Cache
 	// store is the optional persistent evaluation cache (DESIGN.md
 	// §7.7): a second memo tier behind the in-memory pool, addressed by
-	// the content of the evaluation (trace bytes + canonical config +
-	// model params + schema version). A warm hit skips the entire
-	// timing model; results are byte-identical either way, so the memo
-	// key does not include it.
+	// the content of the evaluation (functional digest + canonical
+	// config + model params + schema version). A warm hit skips the
+	// capture and the entire timing model; results are byte-identical
+	// either way, so the memo key does not include it.
 	store *store.Store
 	// gang is the gang-replay width for batch prefetches (DESIGN.md
 	// §7.9): 0 picks a width per benchmark, 1 disables ganging, larger
@@ -142,12 +142,17 @@ func (s *Suite) StoreStats() store.Stats {
 	return s.store.Stats()
 }
 
+// Captures returns how many functional trace captures the suite has
+// performed. A sweep served entirely from the persistent store performs
+// none: its keys come from compiles alone.
+func (s *Suite) Captures() int { return s.traces.Captures() }
+
 // storeKey derives the content address of (b, cfg) under the persistent
-// store: the kernel variant's trace digest (memoized compile + capture,
-// shared with replay), the canonical configuration key, and the energy
-// model parameters. ok is false when the store is off or the
-// configuration has no valid model/trace — those runs simply skip the
-// store tier.
+// store: the kernel variant's functional digest (memoized compile,
+// shared with replay — never a capture), the canonical configuration
+// key, and the energy model parameters. ok is false when the store is
+// off or the configuration has no valid model or does not compile —
+// those runs simply skip the store tier.
 func (s *Suite) storeKey(ctx context.Context, b polybench.Bench, cfg sim.Config) (store.Key, bool) {
 	if s.store == nil {
 		return store.Key{}, false
@@ -165,10 +170,10 @@ func (s *Suite) storeKey(ctx context.Context, b polybench.Bench, cfg sim.Config)
 }
 
 // Stored reports whether a valid persistent-store entry exists for
-// (b, cfg) — without simulating, though it may trigger the variant's
-// (memoized) capture to derive the key. The guided search uses it to
-// warm-start: an already-stored point routes through the memoized
-// store-hitting path instead of abortable replay.
+// (b, cfg) — without simulating or capturing, though it may trigger the
+// variant's (memoized) compile to derive the key. The guided search
+// uses it to warm-start: an already-stored point routes through the
+// memoized store-hitting path instead of abortable replay.
 func (s *Suite) Stored(b polybench.Bench, cfg sim.Config) bool {
 	cfg = s.applyCheck(cfg)
 	key, ok := s.storeKey(s.ctx, b, cfg)

@@ -4,29 +4,39 @@
 // model over the captured retired-instruction stream (cpu.Trace,
 // DESIGN.md §7.4). Compile results and traces are memoized through the
 // same singleflight engine as simulation results (internal/runner), so
-// at any -j the workers sweeping a design space share one capture per
-// kernel variant.
+// at any -j the workers sweeping a design space share one compile and
+// one capture per kernel variant.
 package replay
 
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"strconv"
+	"sync/atomic"
 
 	"sttdl1/internal/compile"
 	"sttdl1/internal/cpu"
+	"sttdl1/internal/isa"
 	"sttdl1/internal/polybench"
 	"sttdl1/internal/runner"
 	"sttdl1/internal/sim"
 )
 
-// traced pairs a compiled kernel with its captured execution trace and
-// the SHA-256 of the trace's encoded (sttrace1) bytes — the kernel
-// variant's functional-content fingerprint the persistent evaluation
-// store keys on (internal/store).
-type traced struct {
+// FunctionalVersion versions the functional digest (Cache.Digest). The
+// digest hashes the inputs that determine a kernel variant's trace —
+// the encoded program and its initial memory image — so it
+// cannot see a change to the machinery that turns those inputs into a
+// trace. Bump it whenever the functional interpreter, trace capture or
+// a compile.Compiled field that reaches a RunResult changes meaning;
+// TestFunctionalDigests fails with "bump FunctionalVersion" when a trace
+// moves under an unchanged digest.
+const FunctionalVersion = 1
+
+// variant is one compiled kernel variant and its functional digest.
+type variant struct {
 	ck     *compile.Compiled
-	tr     *cpu.Trace
 	digest [sha256.Size]byte
 }
 
@@ -34,16 +44,24 @@ type traced struct {
 // everything the functional execution depends on — benchmark, problem
 // size, compile options — and deliberately nothing the timing model
 // depends on: the whole point is that one trace serves every cache and
-// core configuration. Safe for concurrent use.
+// core configuration. Each variant is compiled once; the capture runs
+// only when Trace asks for it, so a sweep served entirely from the
+// persistent store never executes a kernel. Safe for concurrent use.
 type Cache struct {
-	pool *runner.Pool[string, traced]
+	compiles *runner.Pool[string, variant]
+	traces   *runner.Pool[string, *cpu.Trace]
+	captures atomic.Int64
 }
 
-// NewCache builds an empty trace cache. Captures fan out over up to
-// GOMAXPROCS goroutines; callers nested inside another runner.Pool are
-// fine because capture tasks never wait on the caller's pool.
+// NewCache builds an empty trace cache. Compiles and captures fan out
+// over up to GOMAXPROCS goroutines each; callers nested inside another
+// runner.Pool are fine because these tasks never wait on the caller's
+// pool, and a capture resolves its compile before taking a slot.
 func NewCache() *Cache {
-	return &Cache{pool: runner.New[string, traced](0)}
+	return &Cache{
+		compiles: runner.New[string, variant](0),
+		traces:   runner.New[string, *cpu.Trace](0),
+	}
 }
 
 // key identifies one functional execution. The problem size must be in
@@ -60,51 +78,90 @@ func key(b polybench.Bench, opts compile.Options) string {
 // compiling and capturing on first use and memoizing forever. Concurrent
 // requests for the same kernel variant share one capture.
 func (c *Cache) Trace(ctx context.Context, b polybench.Bench, opts compile.Options) (*compile.Compiled, *cpu.Trace, error) {
-	t, err := c.traced(ctx, b, opts)
+	k := key(b, opts)
+	v, err := c.variant(ctx, k, b, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return t.ck, t.tr, nil
+	tr, err := c.traces.DoLabeled(ctx, k, "capture "+b.Name,
+		func(context.Context) (*cpu.Trace, error) {
+			c.captures.Add(1)
+			return sim.CaptureTrace(v.ck)
+		})
+	if err != nil {
+		return nil, nil, fmt.Errorf("replay: %s: %w", b.Name, err)
+	}
+	return v.ck, tr, nil
 }
 
-// Digest returns the SHA-256 of the encoded trace bytes for b under
-// opts, capturing (memoized, shared with Trace) on first use. The
-// digest covers the variant's functional execution byte for byte, so
-// any change to the kernel, the compiler passes or the capture
-// machinery changes the digest — which is exactly what makes it a sound
-// content-address component for the persistent store.
+// Digest returns the functional digest of b under opts: SHA-256 over
+// length-delimited fields for FunctionalVersion, the program name, the
+// encoded program, its data-segment size and the initial memory image
+// (sim.InitialState, after ir.InitData) — every input the captured
+// trace is a function of. It compiles (memoized,
+// shared with Trace) on first use but never captures, which is what
+// lets a stored evaluation be found without executing the kernel. The
+// persistent store keys on it (internal/store); TestFunctionalDigests
+// pins it against the trace bytes it stands in for.
 func (c *Cache) Digest(ctx context.Context, b polybench.Bench, opts compile.Options) ([sha256.Size]byte, error) {
-	t, err := c.traced(ctx, b, opts)
+	v, err := c.variant(ctx, key(b, opts), b, opts)
 	if err != nil {
 		return [sha256.Size]byte{}, err
 	}
-	return t.digest, nil
+	return v.digest, nil
 }
 
-// traced is the shared memoized compile + capture + digest.
-func (c *Cache) traced(ctx context.Context, b polybench.Bench, opts compile.Options) (traced, error) {
-	t, err := c.pool.DoLabeled(ctx, key(b, opts), "capture "+b.Name,
-		func(context.Context) (traced, error) {
+// Captures returns how many functional captures the cache has
+// performed (memoized and deduplicated requests not counted).
+func (c *Cache) Captures() int { return int(c.captures.Load()) }
+
+// variant is the shared memoized compile + functional digest.
+func (c *Cache) variant(ctx context.Context, k string, b polybench.Bench, opts compile.Options) (variant, error) {
+	v, err := c.compiles.DoLabeled(ctx, k, "compile "+b.Name,
+		func(context.Context) (variant, error) {
 			ck, err := compile.Compile(b.Kernel(), opts)
 			if err != nil {
-				return traced{}, err
+				return variant{}, err
 			}
-			tr, err := sim.CaptureTrace(ck)
+			d, err := functionalDigest(ck)
 			if err != nil {
-				return traced{}, err
+				return variant{}, err
 			}
-			h := sha256.New()
-			if err := Encode(h, tr); err != nil {
-				return traced{}, fmt.Errorf("digest: %w", err)
-			}
-			t := traced{ck: ck, tr: tr}
-			h.Sum(t.digest[:0])
-			return t, nil
+			return variant{ck: ck, digest: d}, nil
 		})
 	if err != nil {
-		return traced{}, fmt.Errorf("replay: %s: %w", b.Name, err)
+		return variant{}, fmt.Errorf("replay: %s: %w", b.Name, err)
 	}
-	return t, nil
+	return v, nil
+}
+
+// functionalDigest hashes the inputs that determine ck's trace (see
+// Digest). Fields are length-delimited so no two distinct field tuples
+// collide by concatenation.
+func functionalDigest(ck *compile.Compiled) ([sha256.Size]byte, error) {
+	code, err := isa.EncodeProgram(ck.Prog)
+	if err != nil {
+		return [sha256.Size]byte{}, fmt.Errorf("digest: %w", err)
+	}
+	st, err := sim.InitialState(ck)
+	if err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	h := sha256.New()
+	var n [8]byte
+	field := func(p []byte) {
+		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+		h.Write(n[:])
+		h.Write(p)
+	}
+	field([]byte("sttfunc/v" + strconv.Itoa(FunctionalVersion)))
+	field([]byte(ck.Prog.Name))
+	field(code)
+	field(strconv.AppendInt(nil, int64(ck.Prog.DataSize), 10))
+	field(st.Mem)
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d, nil
 }
 
 // Run executes bench b under cfg by timing replay: the (memoized)

@@ -180,6 +180,11 @@ func TestServeJobMatchesDse(t *testing.T) {
 	if got != want {
 		t.Errorf("serve CSV diverges from single-process dse:\ngot:\n%s\nwant:\n%s", got, want)
 	}
+	// Every shard was published to the store, so the stitch scored the
+	// job from store reads alone and never executed a kernel.
+	if n := e.srv.stitchPlain.Captures() + e.srv.stitchChecked.Captures(); n != 0 {
+		t.Errorf("stitch suites performed %d capture(s), want 0", n)
+	}
 
 	// The table and JSON formats render from the same evaluation.
 	table, code := e.result(js.ID, "table")

@@ -368,8 +368,8 @@ func (s *System) RunCompiled(ck *compile.Compiled) (*RunResult, error) {
 
 // runOnce executes one pass over the kernel.
 func (s *System) runOnce(ck *compile.Compiled) (*RunResult, error) {
-	st := cpu.NewState(ck.Prog)
-	if err := ir.InitData(ck.Kernel, st.Mem); err != nil {
+	st, err := InitialState(ck)
+	if err != nil {
 		return nil, err
 	}
 	res, err := s.CPU.RunState(ck.Prog, st)
@@ -400,14 +400,27 @@ func (s *System) assemble(bench string, res *cpu.Result) *RunResult {
 	}
 }
 
+// InitialState is the architectural state every pass of ck starts
+// from: fresh registers and the data segment initialized by the
+// kernel's array initializers. Live runs, trace capture and the
+// functional digest the persistent store keys on (replay.Cache.Digest)
+// all start here, so what the digest hashes is what the capture runs.
+func InitialState(ck *compile.Compiled) (*cpu.State, error) {
+	st := cpu.NewState(ck.Prog)
+	if err := ir.InitData(ck.Kernel, st.Mem); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
 // CaptureTrace functionally executes a compiled kernel once (no timing)
 // and records its retired-instruction stream. Because the core is
 // in-order and every pass starts from an identically initialized data
 // segment, the same trace replays both the warm-up and the measured
 // pass of any configuration (DESIGN.md §7.4).
 func CaptureTrace(ck *compile.Compiled) (*cpu.Trace, error) {
-	st := cpu.NewState(ck.Prog)
-	if err := ir.InitData(ck.Kernel, st.Mem); err != nil {
+	st, err := InitialState(ck)
+	if err != nil {
 		return nil, err
 	}
 	tr, err := cpu.Capture(ck.Prog, st, 0)

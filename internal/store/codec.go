@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"sttdl1/internal/sim"
@@ -23,8 +24,9 @@ import (
 // previously stored results: old entries simply stop being addressable
 // and a sweep re-evaluates. Bump it whenever the meaning of a stored
 // counter changes — a timing-model fix, a new RunResult field the energy
-// model reads, a codec change.
-const SchemaVersion = 1
+// model reads, a codec change, a change to what the key covers. Version
+// 2 keys on the functional digest instead of the trace bytes.
+const SchemaVersion = 2
 
 // recordMagic frames a record on disk. The trailing digit tracks the
 // framing only; record semantics are versioned by SchemaVersion.
@@ -92,10 +94,15 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 	return out, nil
 }
 
+// errStaleSchema marks an intact record written under another
+// SchemaVersion: unaddressable by this version's keys, but not corrupt.
+var errStaleSchema = errors.New("store: stale schema")
+
 // DecodeRecord parses and validates a blob EncodeRecord produced. Any
 // deviation — short file, wrong magic, length mismatch, checksum
 // mismatch, malformed JSON, wrong schema — returns an error; the caller
-// treats every error as "corrupt entry: delete and re-evaluate". The
+// treats every error as "delete and re-evaluate", and Verify reports the
+// wrong-schema case (errStaleSchema) apart from corruption. The
 // function never panics and never allocates more than the (bounded)
 // declared payload length on garbage input.
 func DecodeRecord(data []byte) (*Record, error) {
@@ -125,7 +132,7 @@ func DecodeRecord(data []byte) (*Record, error) {
 		return nil, fmt.Errorf("store: record payload: %w", err)
 	}
 	if rec.Schema != SchemaVersion {
-		return nil, fmt.Errorf("store: record schema %d, want %d", rec.Schema, SchemaVersion)
+		return nil, fmt.Errorf("%w: record schema %d, want %d", errStaleSchema, rec.Schema, SchemaVersion)
 	}
 	if rec.Result == nil || rec.Result.CPU == nil {
 		return nil, fmt.Errorf("store: record missing result")

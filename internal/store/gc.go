@@ -32,6 +32,10 @@ type DirStats struct {
 	// Healed counts the invalid entries a deep scan (Verify) detected
 	// and deleted; a light Scan never validates, so it reports 0.
 	Healed int `json:"healed,omitempty"`
+	// Stale counts the intact records of another SchemaVersion a deep
+	// scan deleted: no key of this version can address them, but they
+	// are not corruption and do not raise the corrupt counter.
+	Stale int `json:"stale,omitempty"`
 }
 
 // String renders the stats the way `sttexplore store stats` and the
@@ -40,6 +44,9 @@ func (d DirStats) String() string {
 	out := fmt.Sprintf("%d record(s), %d bytes", d.Records, d.Bytes)
 	if d.Healed > 0 {
 		out += fmt.Sprintf(", %d corrupt entry(ies) healed", d.Healed)
+	}
+	if d.Stale > 0 {
+		out += fmt.Sprintf(", %d stale-schema record(s) removed", d.Stale)
 	}
 	return out
 }
@@ -103,8 +110,10 @@ func (s *Store) Scan() (DirStats, error) {
 // Verify is the deep scan: every entry is read and decoded, and invalid
 // ones — truncated writes, checksum mismatches, foreign bytes — are
 // deleted so the next evaluation re-publishes them (the same healing
-// Get performs lazily, applied eagerly to the whole store). The
-// returned stats describe the surviving records.
+// Get performs lazily, applied eagerly to the whole store). Intact
+// records of another SchemaVersion are deleted too, but counted as
+// stale rather than corrupt. The returned stats describe the surviving
+// records.
 func (s *Store) Verify() (DirStats, error) {
 	ents, err := s.entries()
 	if err != nil {
@@ -120,12 +129,16 @@ func (s *Store) Verify() (DirStats, error) {
 			return DirStats{}, fmt.Errorf("store: %w", err)
 		}
 		if _, derr := DecodeRecord(data); derr != nil {
-			if rerr := os.Remove(e.path); rerr == nil || errors.Is(rerr, fs.ErrNotExist) {
+			if rerr := os.Remove(e.path); rerr != nil && !errors.Is(rerr, fs.ErrNotExist) {
+				return DirStats{}, fmt.Errorf("store: healing %s: %w", e.path, rerr)
+			}
+			if errors.Is(derr, errStaleSchema) {
+				d.Stale++
+			} else {
 				d.Healed++
 				s.corrupt.Add(1)
-				continue
 			}
-			return DirStats{}, fmt.Errorf("store: healing %s: %w", e.path, err)
+			continue
 		}
 		d.Records++
 		d.Bytes += int64(len(data))

@@ -2,6 +2,7 @@ package store
 
 import (
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -52,6 +53,46 @@ func TestScanAndVerify(t *testing.T) {
 	}
 	if _, found := s.Get(keys[0]); !found {
 		t.Error("Verify damaged a valid entry")
+	}
+}
+
+// TestVerifyCountsStaleSchemaApart pins the schema-bump contract: an
+// intact record written under an older SchemaVersion is removed by a
+// deep scan but reported as stale, never as corruption.
+func TestVerifyCountsStaleSchemaApart(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := fill(t, s, 3)
+	old := NewRecord("gemm", 32, testResult())
+	old.Schema = SchemaVersion - 1
+	data, err := EncodeRecord(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(keys[0]), data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(keys[1]), []byte("not a record"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	v, err := s.Verify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Records != 1 || v.Healed != 1 || v.Stale != 1 {
+		t.Fatalf("Verify = %+v, want 1 surviving record, 1 heal, 1 stale", v)
+	}
+	if got := s.Stats().Corrupt; got != 1 {
+		t.Errorf("corrupt counter = %d, want 1 (the stale record is not corruption)", got)
+	}
+	if got, want := v.String(), ", 1 corrupt entry(ies) healed, 1 stale-schema record(s) removed"; !strings.HasSuffix(got, want) {
+		t.Errorf("DirStats.String() = %q, want suffix %q", got, want)
+	}
+	if _, found := s.Get(keys[0]); found {
+		t.Error("stale record still served")
 	}
 }
 

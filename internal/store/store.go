@@ -1,13 +1,16 @@
 // Package store is the persistent, content-addressed evaluation cache
 // behind cross-run and cross-process sweep memoization (DESIGN.md
 // §7.7). Each entry maps the content address of one evaluation — the
-// hash of the kernel variant's captured trace bytes, the canonicalized
+// kernel variant's functional digest (its compiled program and initial
+// data image, the inputs its trace is a function of), the canonicalized
 // simulator configuration, the energy/technology model parameters and
 // the store schema version — to the full counter record of that
-// simulation. Because simulation is deterministic (byte-identical at
-// any worker count, live or replay), a stored result is
-// indistinguishable from a fresh one, which is what makes serving
-// results across runs, processes and sharded sweeps sound.
+// simulation. The key is derived from a compile alone, so a stored
+// evaluation is served without ever executing the kernel. Because
+// simulation is deterministic (byte-identical at any worker count, live
+// or replay), a stored result is indistinguishable from a fresh one,
+// which is what makes serving results across runs, processes and
+// sharded sweeps sound.
 //
 // Concurrency model: writes go to a private temp file and are published
 // with an atomic rename, so readers never observe a torn entry through
@@ -42,11 +45,13 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // KeyFor derives the content address of one evaluation:
 //
-//   - benchKey names the kernel variant ("bench@size"); it pins the
-//     compiled program even in the astronomically unlikely event two
-//     different programs emit identical traces;
-//   - traceDigest is the SHA-256 of the variant's encoded trace bytes
-//     (replay.Cache.Digest) — the functional execution, byte for byte;
+//   - benchKey names the kernel variant ("bench@size"), keeping the
+//     benchmarks' address spaces apart independently of the digest;
+//   - funcDigest is the variant's functional digest
+//     (replay.Cache.Digest): SHA-256 over the encoded program, its
+//     initial memory image and replay.FunctionalVersion — every
+//     input the captured trace is a function of, known after a compile
+//     and before any capture;
 //   - cfgKey is sim.CanonicalKey of the configuration — every field the
 //     timing model reads, defaults resolved;
 //   - modelKey names the energy/technology model parameters the
@@ -55,12 +60,12 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 //
 // Fields are length-delimited before hashing so no two distinct field
 // tuples can collide by concatenation.
-func KeyFor(benchKey string, traceDigest [sha256.Size]byte, cfgKey, modelKey string) Key {
+func KeyFor(benchKey string, funcDigest [sha256.Size]byte, cfgKey, modelKey string) Key {
 	// The preimage is assembled in one buffer and hashed with Sum256:
 	// byte-for-byte the same stream the previous incremental-hash
 	// version fed sha256.New, without the hash-state and per-field
 	// conversion allocations (this runs once per store probe).
-	buf := make([]byte, 0, 4*8+len(keyVersion)+len(benchKey)+len(traceDigest)+len(cfgKey)+len(modelKey))
+	buf := make([]byte, 0, 4*8+len(keyVersion)+len(benchKey)+len(funcDigest)+len(cfgKey)+len(modelKey))
 	field := func(s string) {
 		var n [8]byte
 		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
@@ -69,7 +74,7 @@ func KeyFor(benchKey string, traceDigest [sha256.Size]byte, cfgKey, modelKey str
 	}
 	field(keyVersion)
 	field(benchKey)
-	buf = append(buf, traceDigest[:]...)
+	buf = append(buf, funcDigest[:]...)
 	field(cfgKey)
 	field(modelKey)
 	return Key(sha256.Sum256(buf))

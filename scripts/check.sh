@@ -19,7 +19,8 @@ go run ./cmd/sttexplore run -check -bench atax,gemver fig3 >/dev/null
 # captured trace.
 tmp_on=$(mktemp)
 tmp_off=$(mktemp)
-trap 'rm -f "$tmp_on" "$tmp_off"' EXIT
+tmp_err=$(mktemp)
+trap 'rm -f "$tmp_on" "$tmp_off" "$tmp_err"' EXIT
 go run ./cmd/sttexplore dse -check -space smoke -bench atax,gemver -replay on >"$tmp_on"
 go run ./cmd/sttexplore dse -check -space smoke -bench atax,gemver -replay off >"$tmp_off"
 cmp "$tmp_on" "$tmp_off"
@@ -40,14 +41,17 @@ cmp "$tmp_on" "$tmp_off"
 
 # Persistent-store equivalence (DESIGN.md §7.7): the same sweep must
 # render byte-identically with no store, with a cold store, and served
-# entirely from the warm store the cold pass just wrote.
+# entirely from the warm store the cold pass just wrote — and the warm
+# pass must find every record without capturing a single trace.
 store_dir=$(mktemp -d)
-trap 'rm -f "$tmp_on" "$tmp_off"; rm -rf "$store_dir"' EXIT
+trap 'rm -f "$tmp_on" "$tmp_off" "$tmp_err"; rm -rf "$store_dir"' EXIT
 go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -csv >"$tmp_on"
 go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -csv -store "$store_dir" >"$tmp_off"
 cmp "$tmp_on" "$tmp_off"
-go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -csv -store "$store_dir" >"$tmp_off"
+go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -csv -store "$store_dir" >"$tmp_off" 2>"$tmp_err"
 cmp "$tmp_on" "$tmp_off"
+cat "$tmp_err"
+grep -qF ', 0 capture(s)' "$tmp_err"
 
 # Specialized replay kernels and gang replay (DESIGN.md §7.9): the
 # same sweep must render byte-identically with the specialized kernel
@@ -72,7 +76,7 @@ cmp "$tmp_on" "$tmp_off"
 # server must drain cleanly on SIGTERM.
 bin_dir=$(mktemp -d)
 serve_store=$(mktemp -d)
-trap 'rm -f "$tmp_on" "$tmp_off"; rm -rf "$store_dir" "$bin_dir" "$serve_store"' EXIT
+trap 'rm -f "$tmp_on" "$tmp_off" "$tmp_err"; rm -rf "$store_dir" "$bin_dir" "$serve_store"' EXIT
 go build -o "$bin_dir/sttexplore" ./cmd/sttexplore
 "$bin_dir/sttexplore" serve -addr 127.0.0.1:0 -addr-file "$bin_dir/addr" \
 	-store "$serve_store" -workers 2 &
