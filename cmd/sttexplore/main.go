@@ -188,7 +188,8 @@ serve flags (sweep-as-a-service; results byte-identical to dse):
 worker flags:
   -connect  server base URL or host:port (required)
   -name     worker name in leases and events (default worker-<pid>)
-  -poll     idle re-poll interval
+  -poll     longest a lease request waits on the server for work
+            (0 = 200ms); also the back-off after a failed request
   -store/-j as for serve
 
 submit flags (job client):

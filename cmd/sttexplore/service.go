@@ -75,7 +75,7 @@ func newWorkerFlagSet() (*flag.FlagSet, *workerFlagVals) {
 		storeDir: fs.String("store", "", "persistent evaluation store directory shared with the server (required)"),
 		name:     fs.String("name", "", "worker name in leases and events (default worker-<pid>)"),
 		jobs:     fs.Int("j", 0, "parallel simulations (0 = GOMAXPROCS)"),
-		poll:     fs.Duration("poll", 0, "idle re-poll interval (0 = 200ms)"),
+		poll:     fs.Duration("poll", 0, "longest a lease request waits on the server for work (0 = 200ms); also the back-off after a failed request"),
 		verbose:  fs.Bool("v", false, "log leases and shard outcomes"),
 	}
 	return fs, v

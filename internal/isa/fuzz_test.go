@@ -33,10 +33,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		f.Add(buf[:])
 	}
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})             // OpInvalid
-	f.Add([]byte{255, 255, 255, 255, 255, 255, 255})  // short + illegal
-	f.Add([]byte{byte(OpADD), 40, 0, 0, 0, 0, 0, 0})  // register out of range
-	f.Add([]byte{byte(OpHALT), 1, 0, 0, 0, 0, 0, 0})  // unused field nonzero
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})            // OpInvalid
+	f.Add([]byte{255, 255, 255, 255, 255, 255, 255}) // short + illegal
+	f.Add([]byte{byte(OpADD), 40, 0, 0, 0, 0, 0, 0}) // register out of range
+	f.Add([]byte{byte(OpHALT), 1, 0, 0, 0, 0, 0, 0}) // unused field nonzero
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := Decode(data)

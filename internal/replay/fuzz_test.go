@@ -49,11 +49,11 @@ func FuzzTraceDecode(f *testing.F) {
 	mut := append([]byte{}, raw...)
 	mut[len(mut)/2] ^= 0xff // corrupted delta
 	f.Add(mut)
-	f.Add([]byte("sttrace1"))                                   // header only
-	f.Add([]byte("sttrace0"))                                   // wrong version
-	f.Add([]byte("sttrace1\xff\xff\xff\xff\xff\xff\xff\x0f"))   // huge claimed length, empty body
+	f.Add([]byte("sttrace1"))                                         // header only
+	f.Add([]byte("sttrace0"))                                         // wrong version
+	f.Add([]byte("sttrace1\xff\xff\xff\xff\xff\xff\xff\x0f"))         // huge claimed length, empty body
 	f.Add([]byte("sttrace1\x80\x80\x80\x80\x80\x80\x80\x80\x80\x02")) // > maxLen
-	f.Add([]byte("sttrace1\x02\x00\x00\x00"))                   // plausible length, short body
+	f.Add([]byte("sttrace1\x02\x00\x00\x00"))                         // plausible length, short body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr1, err := replay.Decode(bytes.NewReader(data), ck.Prog)

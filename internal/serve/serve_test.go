@@ -121,7 +121,7 @@ func (e *testEnv) result(id, format string) (string, int) {
 func (e *testEnv) startWorker(name string) {
 	e.t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	w := &Worker{URL: e.ts.URL, Store: e.st, Name: name, Poll: 10 * time.Millisecond}
+	w := &Worker{URL: e.ts.URL, Store: e.st, Name: name}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -239,6 +239,7 @@ func TestGuidedJobMatchesDse(t *testing.T) {
 // requeues, and a successor lease finishes the job — byte-identical
 // output, requeue accounted.
 func TestLeaseExpiryRequeues(t *testing.T) {
+	t.Parallel() // mostly waiting out the TTL
 	// The TTL must outlive race-detector scheduling hiccups between the
 	// successor's heartbeats, but stay short enough to keep the test
 	// quick.
@@ -303,6 +304,7 @@ func TestDuplicateDoneIdempotent(t *testing.T) {
 // TestBadJobsNeverEnqueued pins the 4xx wall: malformed, unknown-field,
 // unknown-name and oversized submissions are rejected before the queue.
 func TestBadJobsNeverEnqueued(t *testing.T) {
+	t.Parallel() // the oversized body waits out the server's lingering close
 	e := newEnv(t, Options{})
 	cases := []struct {
 		name string

@@ -68,6 +68,12 @@ type Server struct {
 	draining  bool
 	nextJob   int
 	nextLease int
+	// work is closed and replaced (like job.notify) whenever a held
+	// lease request may now get an answer other than 204: a submitted
+	// job, a requeued shard, or the start of a drain.
+	work chan struct{}
+	// waiting counts the lease requests currently held on work.
+	waiting int
 }
 
 // lease is one worker's claim on one shard.
@@ -102,6 +108,7 @@ func New(opts Options) (*Server, error) {
 		opts:   opts,
 		jobs:   make(map[string]*job),
 		leases: make(map[string]*lease),
+		work:   make(chan struct{}),
 	}
 	s.stitchPlain = experiments.NewSuiteJobs(nil, opts.Jobs)
 	s.stitchPlain.SetStore(opts.Store)
@@ -162,6 +169,13 @@ func (s *Server) requeueLocked(l *lease, why string) {
 	j.requeues++
 	j.emit(Event{Type: "requeue", Shard: s.shardName(j, l.shardIdx), Worker: l.worker, Lease: l.id, Msg: why})
 	s.opts.Logf("job %s: shard %d requeued (%s)", j.id, l.shardIdx, why)
+	s.wakeLocked()
+}
+
+// wakeLocked wakes every held lease request to try again.
+func (s *Server) wakeLocked() {
+	close(s.work)
+	s.work = make(chan struct{})
 }
 
 func (s *Server) shardName(j *job, idx int) string {
@@ -243,6 +257,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, j.id)
 	j.emit(Event{Type: "queued", Msg: fmt.Sprintf("space %s, %s, %d shard(s)", spec.Space.Name, spec.Search, spec.Shards)})
 	s.opts.Logf("job %s: queued (space %s, %s, %d shard(s))", j.id, spec.Space.Name, spec.Search, spec.Shards)
+	s.wakeLocked()
 	writeJSON(w, http.StatusAccepted, s.statusLocked(j))
 }
 
@@ -435,7 +450,9 @@ type Health struct {
 		Terminal int `json:"terminal"`
 	} `json:"jobs"`
 	Leases int `json:"leases"`
-	Store  struct {
+	// Waiting counts lease requests held open for lack of work.
+	Waiting int `json:"waiting"`
+	Store   struct {
 		store.DirStats
 		Line string `json:"line"`
 	} `json:"store"`
@@ -460,25 +477,78 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	h.Jobs.Active = s.activeLocked()
 	h.Jobs.Terminal = len(s.jobs) - h.Jobs.Active
 	h.Leases = len(s.leases)
+	h.Waiting = s.waiting
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, h)
 }
 
+// handleLease grants the first pending shard. With nothing pending, a
+// request carrying wait_ms is held until a wake (submit, requeue,
+// drain), min(wait_ms, LeaseTTL) or the client's disconnect, and tries
+// again on every wake and once more at its deadline; without wait_ms it
+// is answered 204 at once.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if err := decodeBody(w, r, 4096, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed lease request: %v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked(time.Now())
-	if s.draining {
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
+	if req.WaitMS < 0 {
+		writeError(w, http.StatusBadRequest, "wait_ms must be non-negative (got %d)", req.WaitMS)
 		return
 	}
-	// FIFO across jobs in submission order, shards in index order: the
-	// dispatch schedule is deterministic given the lease-request order.
+	// The hold is capped at the lease TTL, in milliseconds first so a
+	// huge wait_ms cannot overflow the Duration.
+	hold := time.Duration(min(req.WaitMS, s.opts.LeaseTTL.Milliseconds()+1)) * time.Millisecond
+	hold = min(hold, s.opts.LeaseTTL)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var deadline *time.Timer
+	for last := hold == 0; ; {
+		g, status := s.grantLocked(req.Worker)
+		switch {
+		case status == http.StatusServiceUnavailable:
+			writeError(w, status, "server is draining")
+			return
+		case g != nil:
+			writeJSON(w, status, g)
+			return
+		case last:
+			w.WriteHeader(status)
+			return
+		}
+		if deadline == nil {
+			deadline = time.NewTimer(hold)
+			defer deadline.Stop()
+		}
+		work := s.work
+		s.waiting++
+		s.mu.Unlock()
+		select {
+		case <-work:
+		case <-deadline.C:
+			last = true
+		case <-r.Context().Done():
+		}
+		s.mu.Lock()
+		s.waiting--
+		if r.Context().Err() != nil {
+			return // the client is gone; a grant now would only expire
+		}
+	}
+}
+
+// grantLocked runs the expiry scan, then leases out the first pending
+// shard: 200 with the grant, 204 when nothing is pending, 503 while
+// draining. Dispatch is FIFO across jobs in submission order and shards
+// in index order, so the shard a grant names is fixed by the queue;
+// which of several held workers wins a wake is up to the scheduler,
+// and no served byte depends on it.
+func (s *Server) grantLocked(worker string) (*LeaseGrant, int) {
+	s.expireLocked(time.Now())
+	if s.draining {
+		return nil, http.StatusServiceUnavailable
+	}
 	for _, id := range s.order {
 		j := s.jobs[id]
 		if terminal(j.state) || j.state == stateStitching {
@@ -493,7 +563,7 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 				id:       "l" + strconv.Itoa(s.nextLease),
 				job:      j,
 				shardIdx: i,
-				worker:   req.Worker,
+				worker:   worker,
 				deadline: time.Now().Add(s.opts.LeaseTTL),
 			}
 			s.leases[l.id] = l
@@ -502,9 +572,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 			if j.state == stateQueued {
 				j.state = stateRunning
 			}
-			j.emit(Event{Type: "lease", Shard: s.shardName(j, i), Worker: req.Worker, Lease: l.id})
-			s.opts.Logf("job %s: shard %d leased to %s (%s)", j.id, i, req.Worker, l.id)
-			writeJSON(w, http.StatusOK, LeaseGrant{
+			j.emit(Event{Type: "lease", Shard: s.shardName(j, i), Worker: worker, Lease: l.id})
+			s.opts.Logf("job %s: shard %d leased to %s (%s)", j.id, i, worker, l.id)
+			return &LeaseGrant{
 				Lease:   l.id,
 				Job:     j.id,
 				Space:   j.spec.Space.Name,
@@ -516,11 +586,10 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 				Check:   j.spec.Check,
 				Shard:   s.shardName(j, i),
 				TTLMS:   s.opts.LeaseTTL.Milliseconds(),
-			})
-			return
+			}, http.StatusOK
 		}
 	}
-	w.WriteHeader(http.StatusNoContent)
+	return nil, http.StatusNoContent
 }
 
 // leaseFor resolves the {id} path value, answering 410 itself when the
@@ -689,6 +758,7 @@ func (s *Server) stitch(j *job) {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
+	s.wakeLocked() // held lease requests answer 503 now
 	s.mu.Unlock()
 	tick := time.NewTicker(20 * time.Millisecond)
 	defer tick.Stop()

@@ -134,8 +134,8 @@ type JobStatus struct {
 	State string `json:"state"` // queued|running|stitching|done|failed|canceled
 	Space string `json:"space"`
 	// Search echoes the resolved strategy; Check the oracle flag.
-	Search string `json:"search"`
-	Check  bool   `json:"check,omitempty"`
+	Search string      `json:"search"`
+	Check  bool        `json:"check,omitempty"`
 	Shards ShardCounts `json:"shards"`
 	// Sims is the simulations workers have reported so far (heartbeats
 	// plus completed shards) — progress accounting, not a result.
@@ -158,9 +158,9 @@ type ShardCounts struct {
 // /v1/jobs/{id}/events). Seq is dense from 0, so a consumer can resume
 // with ?from=N after a dropped connection.
 type Event struct {
-	Seq  int    `json:"seq"`
-	Type string `json:"type"` // queued|lease|progress|requeue|shard-done|shard-failed|stitching|done|failed|canceled
-	Job  string `json:"job"`
+	Seq    int    `json:"seq"`
+	Type   string `json:"type"` // queued|lease|progress|requeue|shard-done|shard-failed|stitching|done|failed|canceled
+	Job    string `json:"job"`
 	Shard  string `json:"shard,omitempty"`
 	Worker string `json:"worker,omitempty"`
 	Lease  string `json:"lease,omitempty"`
@@ -171,6 +171,10 @@ type Event struct {
 // LeaseRequest is the body of POST /v1/lease.
 type LeaseRequest struct {
 	Worker string `json:"worker,omitempty"`
+	// WaitMS asks the server to hold the request up to this long
+	// (capped at the lease TTL) when no shard is pending, answering as
+	// soon as one is; 0 answers 204 at once.
+	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // LeaseGrant is everything a worker needs to execute one shard: the
@@ -178,15 +182,15 @@ type LeaseRequest struct {
 // against the same registries — both sides are one binary) plus the
 // lease identity and its heartbeat TTL.
 type LeaseGrant struct {
-	Lease string `json:"lease"`
-	Job   string `json:"job"`
-	Space string `json:"space"`
-	Axes  map[string][]string `json:"axes,omitempty"`
-	Benches []string `json:"benches,omitempty"`
-	Search  string   `json:"search"`
-	Budget  int      `json:"budget,omitempty"`
-	Seed    int64    `json:"seed,omitempty"`
-	Check   bool     `json:"check,omitempty"`
+	Lease   string              `json:"lease"`
+	Job     string              `json:"job"`
+	Space   string              `json:"space"`
+	Axes    map[string][]string `json:"axes,omitempty"`
+	Benches []string            `json:"benches,omitempty"`
+	Search  string              `json:"search"`
+	Budget  int                 `json:"budget,omitempty"`
+	Seed    int64               `json:"seed,omitempty"`
+	Check   bool                `json:"check,omitempty"`
 	// Shard is "i/n" (dse.ParseShard).
 	Shard string `json:"shard"`
 	// TTLMS is the heartbeat deadline: a worker that stays silent this

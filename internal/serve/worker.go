@@ -32,7 +32,10 @@ type Worker struct {
 	Name string
 	// Jobs bounds simulation concurrency (0 = GOMAXPROCS).
 	Jobs int
-	// Poll is the idle re-poll interval (0 = 200ms).
+	// Poll is the longest a lease request waits on the server for work
+	// (0 = 200ms); also the back-off after a failed request. The wait
+	// sent is capped at half the client's timeout, so a held request
+	// never trips it.
 	Poll time.Duration
 	// Client is the HTTP client (nil = a 30s-timeout default).
 	Client *http.Client
@@ -62,13 +65,17 @@ func (w *Worker) Run(ctx context.Context) error {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
+	wait := poll
+	if t := w.client().Timeout; t > 0 {
+		wait = min(wait, t/2)
+	}
 	logf := w.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	failures := 0
 	for ctx.Err() == nil {
-		grant, status, err := w.lease(ctx)
+		grant, status, err := w.lease(ctx, wait)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil
@@ -85,7 +92,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case http.StatusOK:
 			w.execute(ctx, grant, logf)
 		case http.StatusNoContent:
-			sleepCtx(ctx, poll)
+			// The server already held the request for the wait; ask again.
 		case http.StatusServiceUnavailable:
 			logf("worker %s: server draining, exiting", w.Name)
 			return nil
@@ -228,11 +235,11 @@ func (w *Worker) client() *http.Client {
 	return &http.Client{Timeout: 30 * time.Second}
 }
 
-// lease asks the server for a shard. The grant is nil unless the status
-// is 200.
-func (w *Worker) lease(ctx context.Context) (*LeaseGrant, int, error) {
+// lease asks the server for a shard, letting it hold the request up to
+// wait for one. The grant is nil unless the status is 200.
+func (w *Worker) lease(ctx context.Context, wait time.Duration) (*LeaseGrant, int, error) {
 	var g LeaseGrant
-	status, err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: w.Name}, &g)
+	status, err := w.post(ctx, "/v1/lease", LeaseRequest{Worker: w.Name, WaitMS: wait.Milliseconds()}, &g)
 	if err != nil {
 		return nil, 0, err
 	}

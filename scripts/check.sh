@@ -10,6 +10,7 @@ set -eux
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test ./...
 go test -race ./...
 go run ./cmd/sttexplore run -check -bench atax,gemver fig3 >/dev/null
