@@ -244,53 +244,39 @@ func BenchmarkSuiteParallel(b *testing.B) {
 	runSuiteMatrix(b, jobs)
 }
 
-// benchLiveVsReplay runs the Fig. 3 matrix (3 configurations × 8
-// kernels) on a fresh suite per iteration with the given execution mode.
-// Replay captures each kernel's functional stream once and re-runs only
-// the timing model per configuration (DESIGN.md §7.4); the results are
-// byte-identical either way, so the ns/op ratio of the two sub-benchmarks
-// is the replay engine's speedup on this matrix.
-func benchLiveVsReplay(b *testing.B, replay bool) {
-	benches := suiteMatrixBenches()
-	for i := 0; i < b.N; i++ {
-		s := experiments.NewSuiteJobs(benches, 8)
-		s.SetReplay(replay)
-		if err := s.Prefetch(benches, sim.BaselineSRAM(), sim.DropInSTT(), sim.ProposalVWB()); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.Fig3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLiveVsReplay regenerates the replay engine's speedup:
+// BenchmarkLiveVsReplay times the Fig. 3 matrix (3 configurations × 8
+// kernels) on a fresh suite per iteration: each kernel's functional
+// stream is captured once and only the timing model re-runs per
+// configuration (DESIGN.md §7.4).
 //
 //	go test -bench LiveVsReplay -benchtime 3x
-//
-// and compare the live and replay ns/op.
 func BenchmarkLiveVsReplay(b *testing.B) {
-	b.Run("live", func(b *testing.B) { benchLiveVsReplay(b, false) })
-	b.Run("replay", func(b *testing.B) { benchLiveVsReplay(b, true) })
+	benches := suiteMatrixBenches()
+	b.Run("replay", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s := experiments.NewSuiteJobs(benches, 8)
+			if err := s.Prefetch(benches, sim.BaselineSRAM(), sim.DropInSTT(), sim.ProposalVWB()); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Fig3(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
-// BenchmarkDSEProposalSweep is the ISSUE's headline workload — the full
+// BenchmarkDSEProposalSweep is the headline workload — the full
 // 240-point proposal design space over the whole PolyBench suite,
-// equivalent to `sttexplore dse -space proposal -j 8` — in both
-// execution modes. One iteration runs the entire sweep (minutes); use
-// -benchtime 1x. The evaluation itself is identical in both modes (the
-// Pareto frontier is compared against the dse package's own tests), so
-// the two ns/op values measure exactly the live/replay wall-clock ratio
-// the tentpole targets.
+// equivalent to `sttexplore dse -space proposal -j 8`. One iteration
+// runs the entire sweep; use -benchtime 1x.
 func BenchmarkDSEProposalSweep(b *testing.B) {
 	sp, ok := dse.ByName("proposal")
 	if !ok {
 		b.Fatal("proposal space not registered")
 	}
-	run := func(b *testing.B, replay bool) {
+	b.Run("replay", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := experiments.NewSuiteJobs(polybench.All(), 8)
-			s.SetReplay(replay)
 			ev, err := dse.Evaluate(s, polybench.All(), sp)
 			if err != nil {
 				b.Fatal(err)
@@ -299,29 +285,22 @@ func BenchmarkDSEProposalSweep(b *testing.B) {
 				b.Fatal("empty evaluation")
 			}
 		}
-	}
-	b.Run("live", func(b *testing.B) { run(b, false) })
-	b.Run("replay", func(b *testing.B) { run(b, true) })
+	})
 }
 
 // BenchmarkReplaySweep measures the replay engine itself on the smoke
-// sweep, cold (no store — every point runs its timing pass) with gang
-// replay on (auto width) and off (one serial replay per
-// configuration). The serial/gang ns/op ratio is the gang engine's
-// speedup; both arms produce byte-identical evaluations (pinned by
-// TestGangWidthsEvaluationIdentity), so only the -benchmem numbers
-// differ. scripts/bench.sh records both arms in BENCH_sweep.json's
-// "replay" section.
+// sweep, cold (no store — every point runs its timing pass, ganged at
+// the automatic width). scripts/bench.sh records it in
+// BENCH_sweep.json's "replay" section.
 func BenchmarkReplaySweep(b *testing.B) {
 	sp, ok := dse.ByName("smoke")
 	if !ok {
 		b.Fatal("smoke space not registered")
 	}
 	benches := suiteMatrixBenches()
-	run := func(b *testing.B, gang int) {
+	b.Run("gang", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := experiments.NewSuiteJobs(benches, 8)
-			s.SetGang(gang)
 			ev, err := dse.Evaluate(s, benches, sp)
 			if err != nil {
 				b.Fatal(err)
@@ -330,9 +309,7 @@ func BenchmarkReplaySweep(b *testing.B) {
 				b.Fatal("empty evaluation")
 			}
 		}
-	}
-	b.Run("gang", func(b *testing.B) { run(b, 0) })
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
+	})
 }
 
 // BenchmarkStoreSweep measures the persistent evaluation store's two

@@ -5,9 +5,9 @@
 // Usage:
 //
 //	sttexplore list
-//	sttexplore run [-bench name,name] [-j N] [-v] [-csv] [-check] [-replay on|off] [-store DIR] <id>|all|paper
-//	sttexplore dse [-space name] [-search exhaustive|guided] [-budget N] [-seed S] [-bench name,name] [-j N] [-gang N] [-v] [-csv] [-top N] [-check] [-replay on|off] [-store DIR] [-shard i/n]
-//	sttexplore bench [-cfg sram|dropin|vwb|l0|emshr|bypass|hybrid] [-opt] [-n size] [-v] [-check] [-replay on|off] [-store DIR] <kernel>
+//	sttexplore run [-bench name,name] [-j N] [-v] [-csv] [-check] [-store DIR] <id>|all|paper
+//	sttexplore dse [-space name] [-search exhaustive|guided] [-budget N] [-seed S] [-bench name,name] [-j N] [-v] [-csv] [-top N] [-check] [-store DIR] [-shard i/n]
+//	sttexplore bench [-cfg sram|dropin|vwb|l0|emshr|bypass|hybrid] [-opt] [-n size] [-v] [-check] [-store DIR] <kernel>
 //	sttexplore serve [-addr :8080] -store DIR [-workers N]
 //	sttexplore worker -connect URL -store DIR
 //	sttexplore submit -connect URL [-space name] [-shards N] [-format csv] [-top N]
@@ -106,9 +106,9 @@ func usage() { fmt.Fprintln(os.Stderr, usageText()) }
 func usageText() string {
 	return fmt.Sprintf(`usage:
   sttexplore list
-  sttexplore run [-bench a,b,...] [-j N] [-v] [-csv] [-check] [-replay on|off] [-store DIR] <id>|all|paper
-  sttexplore dse [-space name] [-search exhaustive|guided] [-budget N] [-seed S] [-bench a,b,...] [-j N] [-gang N] [-v] [-csv] [-top N] [-check] [-replay on|off] [-store DIR] [-shard i/n]
-  sttexplore bench [-cfg %s] [-opt] [-n size] [-v] [-check] [-replay on|off] [-store DIR] <kernel>
+  sttexplore run [-bench a,b,...] [-j N] [-v] [-csv] [-check] [-store DIR] <id>|all|paper
+  sttexplore dse [-space name] [-search exhaustive|guided] [-budget N] [-seed S] [-bench a,b,...] [-j N] [-v] [-csv] [-top N] [-check] [-store DIR] [-shard i/n]
+  sttexplore bench [-cfg %s] [-opt] [-n size] [-v] [-check] [-store DIR] <kernel>
   sttexplore serve [-addr :8080] -store DIR [-workers N] [-j N] [-queue N] [-shards N] [-lease-ttl D] [-drain D] [-addr-file FILE] [-v]
   sttexplore worker -connect URL -store DIR [-name s] [-j N] [-poll D] [-v]
   sttexplore submit -connect URL [-space name] [-axes JSON] [-bench a,b,...] [-search mode] [-budget N] [-seed S] [-shards N] [-check] [-format csv|table|json] [-top N] [-wait=false] [-v]
@@ -122,10 +122,6 @@ run flags:
   -check  verify the timing contract (causality, clock monotonicity,
           shadow-state agreement) on every access; results unchanged,
           any violation fails the run
-  -replay on|off
-          trace replay (default on): functionally execute each kernel
-          once, re-run only the timing model per configuration; results
-          are byte-identical to live execution
   -store DIR
           persistent evaluation store (all commands; default off): every
           finished simulation's counters are cached on disk, addressed
@@ -150,10 +146,6 @@ dse flags:
   -seed   guided: proposal RNG seed (default 1); equal seeds give
           bit-identical output at any -j
   -top N  keep only the N lowest-penalty rows of the frontier table
-  -gang N gang replay width: walk each captured trace once for N
-          configurations at a time instead of once per configuration
-          (replay mode only; 0 = auto width per benchmark, 1 = off).
-          Results are cycle-identical at any width
   -csv    dump every evaluated point (objectives, dominance rank) as CSV
   -shard i/n
           simulate only the points whose enumeration index ≡ i (mod n)
@@ -304,21 +296,6 @@ func profileFlags(fs *flag.FlagSet) func() (stop func() error, err error) {
 	}
 }
 
-// replayFlag registers -replay on a command's flag set and returns a
-// parser for its on/off value.
-func replayFlag(fs *flag.FlagSet) func() (bool, error) {
-	mode := fs.String("replay", "on", "trace replay: capture each kernel's instruction stream once, re-run only the timing model per design point (on/off; results are byte-identical either way)")
-	return func() (bool, error) {
-		switch *mode {
-		case "on":
-			return true, nil
-		case "off":
-			return false, nil
-		}
-		return false, fmt.Errorf("-replay must be on or off (got %q)", *mode)
-	}
-}
-
 // storeFlag registers -store on a command's flag set and returns an
 // opener for the persistent evaluation store (nil store when the flag
 // is unset).
@@ -379,14 +356,13 @@ func cmdList() error {
 // usageText fails the test.
 
 type runFlagVals struct {
-	benchList  *string
-	verbose    *bool
-	csv        *bool
-	jobs       *int
-	checked    *bool
-	replayMode func() (bool, error)
-	storeOpen  func() (*store.Store, error)
-	profile    func() (func() error, error)
+	benchList *string
+	verbose   *bool
+	csv       *bool
+	jobs      *int
+	checked   *bool
+	storeOpen func() (*store.Store, error)
+	profile   func() (func() error, error)
 }
 
 func newRunFlagSet() (*flag.FlagSet, *runFlagVals) {
@@ -398,7 +374,6 @@ func newRunFlagSet() (*flag.FlagSet, *runFlagVals) {
 		jobs:      fs.Int("j", 0, "parallel simulations (0 = GOMAXPROCS); output is identical at any -j"),
 		checked:   fs.Bool("check", false, "run every simulation under the timing-contract oracle"),
 	}
-	v.replayMode = replayFlag(fs)
 	v.storeOpen = storeFlag(fs)
 	v.profile = profileFlags(fs)
 	return fs, v
@@ -412,7 +387,6 @@ type dseFlagVals struct {
 	budget     *int
 	seed       *int64
 	shard      *string
-	gang       *int
 }
 
 func newDseFlagSet() (*flag.FlagSet, *dseFlagVals) {
@@ -424,28 +398,25 @@ func newDseFlagSet() (*flag.FlagSet, *dseFlagVals) {
 		budget:     fs.Int("budget", 64, "guided search: full-suite evaluation budget"),
 		seed:       fs.Int64("seed", 1, "guided search: proposal RNG seed (printed in the report header)"),
 		shard:      fs.String("shard", "", "simulate only shard i/n of the space into the store (exhaustive + -store only)"),
-		gang:       fs.Int("gang", 0, "gang replay width: configurations per trace walk (0 = auto per benchmark, 1 = off); results are cycle-identical at any width"),
 	}
 	v.benchList = fs.String("bench", "", "comma-separated benchmark subset (default: all)")
 	v.verbose = fs.Bool("v", false, "log each simulation")
 	v.csv = fs.Bool("csv", false, "dump every evaluated point as CSV instead of the frontier table")
 	v.jobs = fs.Int("j", 0, "parallel simulations (0 = GOMAXPROCS); output is identical at any -j")
 	v.checked = fs.Bool("check", false, "run every simulation under the timing-contract oracle")
-	v.replayMode = replayFlag(fs)
 	v.storeOpen = storeFlag(fs)
 	v.profile = profileFlags(fs)
 	return fs, v
 }
 
 type benchFlagVals struct {
-	cfgName    *string
-	opt        *bool
-	size       *int
-	verbose    *bool
-	checked    *bool
-	replayMode func() (bool, error)
-	storeOpen  func() (*store.Store, error)
-	profile    func() (func() error, error)
+	cfgName   *string
+	opt       *bool
+	size      *int
+	verbose   *bool
+	checked   *bool
+	storeOpen func() (*store.Store, error)
+	profile   func() (func() error, error)
 }
 
 func newBenchFlagSet() (*flag.FlagSet, *benchFlagVals) {
@@ -457,7 +428,6 @@ func newBenchFlagSet() (*flag.FlagSet, *benchFlagVals) {
 		verbose: fs.Bool("v", false, "also print the configuration's technology model"),
 		checked: fs.Bool("check", false, "run under the timing-contract oracle"),
 	}
-	v.replayMode = replayFlag(fs)
 	v.storeOpen = storeFlag(fs)
 	v.profile = profileFlags(fs)
 	return fs, v
@@ -483,16 +453,12 @@ func cmdRun(args []string) error {
 	fs, v := newRunFlagSet()
 	benchList, verbose, csv := v.benchList, v.verbose, v.csv
 	jobs, checked := v.jobs, v.checked
-	replayMode, profile := v.replayMode, v.profile
+	profile := v.profile
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("run: need exactly one experiment id (or 'all'/'paper'); see 'sttexplore list'")
-	}
-	useReplay, err := replayMode()
-	if err != nil {
-		return err
 	}
 	stopProfile, err := profile()
 	if err != nil {
@@ -514,7 +480,6 @@ func cmdRun(args []string) error {
 	}
 	suite := experiments.NewSuiteJobs(benches, *jobs)
 	suite.SetCheck(*checked)
-	suite.SetReplay(useReplay)
 	suite.SetStore(st)
 	var counters stats.Counters
 	progress := newProgressLine(os.Stderr, *verbose)
@@ -572,16 +537,12 @@ func cmdDse(args []string) error {
 	spaceName, benchList, verbose, csv := v.spaceName, v.benchList, v.verbose, v.csv
 	top, jobs, searchMode := v.top, v.jobs, v.searchMode
 	budget, seed, checked := v.budget, v.seed, v.checked
-	replayMode, profile := v.replayMode, v.profile
+	profile := v.profile
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("dse: unexpected argument %q (the space is selected with -space)", fs.Arg(0))
-	}
-	useReplay, err := replayMode()
-	if err != nil {
-		return err
 	}
 	stopProfile, err := profile()
 	if err != nil {
@@ -619,9 +580,7 @@ func cmdDse(args []string) error {
 
 	suite := experiments.NewSuiteJobs(benches, *jobs)
 	suite.SetCheck(*checked)
-	suite.SetReplay(useReplay)
 	suite.SetStore(st)
-	suite.SetGang(*v.gang)
 	var counters stats.Counters
 	progress := newProgressLine(os.Stderr, *verbose)
 	suite.SetProgress(func(ev stats.RunEvent) {
@@ -734,16 +693,12 @@ func cmdBench(args []string) error {
 	fs, v := newBenchFlagSet()
 	cfgName, opt, size := v.cfgName, v.opt, v.size
 	verbose, checked := v.verbose, v.checked
-	replayMode, profile := v.replayMode, v.profile
+	profile := v.profile
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("bench: need exactly one kernel name; see 'sttexplore list'")
-	}
-	useReplay, err := replayMode()
-	if err != nil {
-		return err
 	}
 	stopProfile, err := profile()
 	if err != nil {
@@ -786,10 +741,8 @@ func cmdBench(args []string) error {
 		return err
 	}
 	// One-simulation suite: the engine plumbing exists purely so the
-	// persistent store tier (and its replay/live selection) behaves
-	// exactly as in run/dse.
+	// persistent store tier behaves exactly as in run/dse.
 	suite := experiments.NewSuiteJobs([]polybench.Bench{b}, 1)
-	suite.SetReplay(useReplay)
 	suite.SetStore(st)
 	res, err := suite.Run(b, cfg)
 	if err != nil {

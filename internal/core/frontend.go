@@ -51,13 +51,13 @@ func (d *Direct) Access(now int64, req mem.Req) int64 {
 // Stats implements FrontEnd.
 func (d *Direct) Stats() mem.Stats { return d.stats }
 
-// Port returns the wrapped DL1-side port. The replay kernel registry
-// (cpu.ShapeOf) unwraps a bare Direct front-end through it to call the
-// cache concretely.
+// Port returns the wrapped DL1-side port. Trace replay unwraps a bare
+// Direct front-end through it to call the cache concretely (the cpu
+// package's runDirect kernel).
 func (d *Direct) Port() mem.Port { return d.dl1 }
 
 // RecordBulk folds pre-counted demand accesses of each class into the
-// stats in one call. The ShapeDirect replay kernel skips the per-access
+// stats in one call. The runDirect replay kernel skips the per-access
 // Record — the class tallies are configuration-invariant properties of
 // the trace prefix that retired — and reconciles here at end of pass,
 // which is exact because Direct records every access as a miss

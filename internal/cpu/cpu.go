@@ -43,6 +43,26 @@ func DefaultConfig() Config {
 	}
 }
 
+// withDefaults fills the fields a zero Config leaves unusable (issue
+// width, queue depths, instruction budget) with DefaultConfig's values.
+// Every timing pass — live, replayed or ganged — runs on the result.
+func (c Config) withDefaults() Config {
+	d := DefaultConfig()
+	if c.IssueWidth <= 0 {
+		c.IssueWidth = d.IssueWidth
+	}
+	if c.StoreBufDepth <= 0 {
+		c.StoreBufDepth = d.StoreBufDepth
+	}
+	if c.LoadQueueDepth <= 0 {
+		c.LoadQueueDepth = d.LoadQueueDepth
+	}
+	if c.MaxInsts == 0 {
+		c.MaxInsts = d.MaxInsts
+	}
+	return c
+}
+
 // Result carries the timing outcome of one run.
 type Result struct {
 	// Cycles is total execution time in core cycles.
@@ -116,19 +136,7 @@ func (c *CPU) Run(prog *isa.Program) (*Result, error) {
 // RunState executes prog under the timing model starting from st, whose
 // data segment the caller may have initialized.
 func (c *CPU) RunState(prog *isa.Program, st *State) (*Result, error) {
-	cfg := c.Cfg
-	if cfg.IssueWidth <= 0 {
-		cfg.IssueWidth = 2
-	}
-	if cfg.StoreBufDepth <= 0 {
-		cfg.StoreBufDepth = 4
-	}
-	if cfg.LoadQueueDepth <= 0 {
-		cfg.LoadQueueDepth = 2
-	}
-	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = 2_000_000_000
-	}
+	cfg := c.Cfg.withDefaults()
 
 	res := &Result{State: st}
 	pred := newBpred(cfg.BpredEntries)
@@ -350,9 +358,6 @@ func (c *CPU) RunState(prog *isa.Program, st *State) (*Result, error) {
 	return res, nil
 }
 
-// latencyOf gives the execute latency of each opcode class (cycles).
-// Functional units are fully pipelined except the dividers, which the
-// run loop serializes via divFree.
 // queueSlots returns a zeroed queue of depth n, using the stack-backed
 // scratch when it fits.
 func queueSlots(scratch []int64, n int) []int64 {
@@ -362,6 +367,9 @@ func queueSlots(scratch []int64, n int) []int64 {
 	return make([]int64, n)
 }
 
+// latencyOf gives the execute latency of each opcode class (cycles).
+// Functional units are fully pipelined except the dividers, which the
+// run loop serializes via divFree.
 func latencyOf(op isa.Opcode) int64 {
 	switch op {
 	case isa.OpMUL, isa.OpMULI:

@@ -6,8 +6,8 @@
 // ReplayTraceGang walks the trace once for a batch of configurations in
 // chunk-major order: a chunk of records sized to stay cache-resident is
 // replayed to completion by each member in turn (every member running
-// its own specialized kernel from the registry, exactly as in serial
-// replay), then the gang advances to the next chunk. Members after the
+// the kernel its own data port selects, exactly as in serial replay),
+// then the gang advances to the next chunk. Members after the
 // first read the chunk's stream out of the host cache instead of DRAM,
 // and each member's loop-carried state plus hierarchy hot set stays
 // resident for the whole chunk.
@@ -47,38 +47,16 @@ func ReplayTraceGang(prog *isa.Program, tr *Trace, cpus []*CPU, interrupt func()
 	if len(cpus) == 0 {
 		return nil, nil
 	}
-	dec, tc := tr.dec, tr.counts
-	if dec == nil {
-		dec = decodeProg(prog)
-		tc = countTrace(tr.PCs, dec)
-	}
+	dec, tc := tr.decode(prog)
 	n := len(tr.PCs)
 	members := make([]replayState, len(cpus))
-	kerns := make([]kernelFunc, len(cpus))
 	for k, c := range cpus {
-		cfg := c.Cfg
-		if cfg.IssueWidth <= 0 {
-			cfg.IssueWidth = 2
-		}
-		if cfg.StoreBufDepth <= 0 {
-			cfg.StoreBufDepth = 4
-		}
-		if cfg.LoadQueueDepth <= 0 {
-			cfg.LoadQueueDepth = 2
-		}
-		if cfg.MaxInsts == 0 {
-			cfg.MaxInsts = 2_000_000_000
-		}
+		cfg := c.Cfg.withDefaults()
 		if uint64(n) > cfg.MaxInsts {
 			return nil, fmt.Errorf("cpu: gang replay member %d: trace length %d exceeds instruction budget %d", k, n, cfg.MaxInsts)
 		}
 		mp := tr.mispredicts(cfg.BpredEntries)
 		members[k].init(&cfg, c.IMem, c.DMem, tr, dec, mp.idx)
-		shape := ShapeOf(c.IMem, c.DMem)
-		if shape == ShapeDirect {
-			members[k].bindDirect(c.DMem)
-		}
-		kerns[k] = kernels[shape]
 	}
 	every := 0
 	if interrupt != nil {
@@ -94,7 +72,7 @@ func ReplayTraceGang(prog *isa.Program, tr *Trace, cpus []*CPU, interrupt func()
 			hi = n
 		}
 		for k := range members {
-			kerns[k](&members[k], lo, hi)
+			members[k].run(lo, hi)
 		}
 		if every > 0 && hi < n {
 			if sinceProbe += hi - lo; sinceProbe >= every {
@@ -107,12 +85,7 @@ func ReplayTraceGang(prog *isa.Program, tr *Trace, cpus []*CPU, interrupt func()
 	}
 	out := make([]*Result, len(cpus))
 	for k := range members {
-		st := &members[k]
-		st.fs.Close()
-		if st.feDirect != nil {
-			st.feDirect.RecordBulk(tc.loads, tc.stores, tc.prefetches)
-		}
-		out[k] = st.finishFull(tc, n, tr.Final)
+		out[k] = members[k].finish(tc, n, tr.Final)
 	}
 	return out, nil
 }

@@ -1,32 +1,32 @@
-// Config-specialized replay kernels (DESIGN.md §7.9).
+// Replay timing kernels (DESIGN.md §7.9).
 //
-// The replay hot loop used to be one monolithic function carrying
-// per-record branches for features most configurations disable (the
-// partial-replay probes, the fetch fast-path test, the Direct front-end's
-// per-access stats call). It is now a small registry of monomorphized
-// loop variants over a config-shape key computed once per pass:
+// The replay hot loop comes in two monomorphized variants over one
+// replayState, chosen once per pass by the data port alone:
 //
-//	ShapeGeneric  interface fetch and data ports — checked runs, IL1
-//	              front-ends, anything the lean shapes cannot prove safe.
-//	ShapeLean     bare *cache.Cache instruction side (the open
-//	              FetchStream fast path is unconditional), interface
-//	              data port — every VWB/L0/EMSHR/Bypass sweep point.
-//	ShapeDirect   lean, plus the data port is a bare core.Direct over a
-//	              bare *cache.Cache: the DL1 is called concretely and the
-//	              front-end's per-access class counting (a config-
-//	              invariant trace property) is folded into one bulk
-//	              update at end of pass — the SRAM baselines and drop-in
-//	              NVM points of every space.
+//	runDirect  the data port is a bare core.Direct over a bare
+//	           *cache.Cache (the SRAM baselines and drop-in NVM points of
+//	           every space): the DL1 is called concretely and the
+//	           front-end's per-access class counting (a config-invariant
+//	           trace property) is folded into one bulk update at end of
+//	           pass.
+//	runLean    every other data port (VWB/L0/EMSHR/Bypass front-ends,
+//	           checked runs), called through the mem.Port interface.
 //
-// Every kernel runs records [lo, hi) over a replayState, so the driver
-// (ReplayTraceCtl) hoists all partial-replay control — truncation,
-// abort probes, interrupt probes — out of the loop into chunk
-// boundaries: a probe every K records becomes a kernel call of K
-// records, and the common nil-ctl replay is a single chunk with zero
-// per-record control overhead. Cycle- and counter-identity of every
-// shape against ShapeGeneric (and of replay against live execution) is
-// enforced by TestKernelShapesMatchGeneric and the Fig. 3 equivalence
-// matrix.
+// Both serve instruction fetch the same way. When the IL1 is a bare
+// *cache.Cache, a FetchStream keeps the current line open and a fetch
+// that stays on it never leaves the loop; a line switch goes through
+// FetchStream.Switch. Any other instruction port (an IL1 front-end, the
+// timing oracle's wrapper) leaves the stream closed, so its CurLine
+// sentinel never matches and every fetch takes imem.Access.
+//
+// Both kernels run records [lo, hi), so the driver (ReplayTraceCtl)
+// hoists all partial-replay control — truncation, abort probes,
+// interrupt probes — out of the loop into chunk boundaries: a probe
+// every K records becomes a kernel call of K records, and the common
+// nil-ctl replay is a single chunk with zero per-record control
+// overhead. Live execution (CPU.RunState) is the independent reference
+// both kernels are checked against (the Fig. 3 equivalence matrix in
+// internal/replay).
 //
 // The register scoreboard is packed: ready[r] holds done<<1 | loadBit,
 // so the operand-readiness maximum and its load attribution come out of
@@ -37,73 +37,17 @@
 package cpu
 
 import (
-	"os"
-
 	"sttdl1/internal/cache"
 	"sttdl1/internal/core"
 	"sttdl1/internal/isa"
 	"sttdl1/internal/mem"
 )
 
-// KernelShape names one specialized replay loop variant.
-type KernelShape uint8
-
-// The kernel registry's shapes.
-const (
-	ShapeGeneric KernelShape = iota
-	ShapeLean
-	ShapeDirect
-	numShapes
-)
-
-var shapeNames = [numShapes]string{"generic", "lean", "direct"}
-
-func (s KernelShape) String() string {
-	if int(s) < len(shapeNames) {
-		return shapeNames[s]
-	}
-	return "shape(?)"
-}
-
-// kernelEnv is the environment variable that pins every replay to the
-// generic kernel (scripts/check.sh diffs specialized against generic
-// sweeps through it). Probed once per pass, never per record.
-const kernelEnv = "STTDL1_REPLAY_KERNEL"
-
-// ShapeOf classifies the port topology into the kernel shape
-// ReplayTrace will select for it. The classification is total and
-// deterministic: every (imem, dmem) pair maps to exactly one shape
-// (property-tested in kernel_test.go).
-func ShapeOf(imem, dmem mem.Port) KernelShape {
-	if os.Getenv(kernelEnv) == "generic" {
-		return ShapeGeneric
-	}
-	if _, ok := imem.(*cache.Cache); !ok {
-		return ShapeGeneric
-	}
-	if d, ok := dmem.(*core.Direct); ok {
-		if _, ok := d.Port().(*cache.Cache); ok {
-			return ShapeDirect
-		}
-	}
-	return ShapeLean
-}
-
 // pos64 returns max(d, 0) branch-free. The kernels use it to turn the
 // data-dependent stall comparisons — which the host branch predictor
 // cannot learn, because they follow the simulated program's data flow —
 // into straight-line arithmetic.
 func pos64(d int64) int64 { return d &^ (d >> 63) }
-
-// kernelFunc runs trace records [lo, hi) of one pass over st.
-type kernelFunc func(st *replayState, lo, hi int)
-
-// kernels is the shape-indexed registry of specialized loop variants.
-var kernels = [numShapes]kernelFunc{
-	ShapeGeneric: runGeneric,
-	ShapeLean:    runLean,
-	ShapeDirect:  runDirect,
-}
 
 // replayState is the complete loop-carried state of one configuration's
 // timing pass, factored out of the loop so kernels can run it in record
@@ -137,8 +81,8 @@ type replayState struct {
 	mpIdx      []int32
 	imem, dmem mem.Port
 	// il1 is non-nil when the instruction side is a bare cache (the
-	// FetchStream fast path applies); dl1/feDirect are non-nil only under
-	// ShapeDirect (concrete DL1 calls, bulk stats reconciliation).
+	// FetchStream serves its hits); dl1/feDirect are non-nil only when
+	// the data port is a bare Direct over a bare cache (runDirect).
 	il1      *cache.Cache
 	il1Shift uint
 	dl1      *cache.Cache
@@ -160,7 +104,8 @@ type replayState struct {
 	sbufArr, lqArr [16]int64
 }
 
-// init wires one pass's state. cfg must already have defaults resolved.
+// init wires one pass's state and binds the concrete caches the kernels
+// can call directly. cfg must already have defaults resolved.
 func (st *replayState) init(cfg *Config, imem, dmem mem.Port, tr *Trace, dec []decoded, mpIdx []int32) {
 	st.issueWidth = cfg.IssueWidth
 	st.penalty = cfg.MispredictPenalty
@@ -175,24 +120,37 @@ func (st *replayState) init(cfg *Config, imem, dmem mem.Port, tr *Trace, dec []d
 	st.imem, st.dmem = imem, dmem
 	st.sbuf = queueSlots(st.sbufArr[:], cfg.StoreBufDepth)
 	st.lq = queueSlots(st.lqArr[:], cfg.LoadQueueDepth)
+	st.fs.CurLine = cache.NoFetchLine
 	if il1, ok := imem.(*cache.Cache); ok {
 		st.il1 = il1
 		st.il1Shift = il1.LineShift()
 		st.fs.Init(il1)
 	}
+	if d, ok := dmem.(*core.Direct); ok {
+		if dl1, ok := d.Port().(*cache.Cache); ok {
+			st.feDirect, st.dl1 = d, dl1
+		}
+	}
 }
 
-// bindDirect unwraps the ShapeDirect data port: the bare DL1 for
-// concrete access calls, and the Direct front-end for the end-of-pass
-// bulk stats reconciliation.
-func (st *replayState) bindDirect(dmem mem.Port) {
-	d := dmem.(*core.Direct)
-	st.feDirect = d
-	st.dl1 = d.Port().(*cache.Cache)
+// run replays records [lo, hi) on the kernel the data port selects.
+func (st *replayState) run(lo, hi int) {
+	if st.dl1 != nil {
+		runDirect(st, lo, hi)
+	} else {
+		runLean(st, lo, hi)
+	}
 }
 
-// finishFull assembles the Result of a completed (non-partial) pass.
-func (st *replayState) finishFull(tc traceCounts, n int, final *State) *Result {
+// finish closes the pass over its first n records: it flushes the fetch
+// stream, reconciles the Direct front-end's bulk stats, and assembles
+// the Result. tc must count exactly those n records; the mispredict
+// count is the kernels' own tally of the redirects they took.
+func (st *replayState) finish(tc traceCounts, n int, final *State) *Result {
+	st.fs.Close()
+	if st.feDirect != nil {
+		st.feDirect.RecordBulk(tc.loads, tc.stores, tc.prefetches)
+	}
 	res := &Result{State: final}
 	res.FetchStallCycles = st.fetchStall
 	res.ReadStallCycles = st.readStall
@@ -201,206 +159,19 @@ func (st *replayState) finishFull(tc traceCounts, n int, final *State) *Result {
 	res.Loads, res.Stores, res.Prefetches = tc.loads, tc.stores, tc.prefetches
 	res.VecLoads, res.VecStores = tc.vecLoads, tc.vecStores
 	res.Branches = tc.branches
-	res.Mispredicts = uint64(len(st.mpIdx))
-	res.BranchStallCycles = int64(len(st.mpIdx)) * st.penalty
-	maxDone := st.maxDone
-	if st.drainTail > maxDone {
-		maxDone = st.drainTail
-	}
-	res.Cycles = maxDone
+	res.Mispredicts = uint64(st.mpK)
+	res.BranchStallCycles = int64(st.mpK) * st.penalty
+	res.Cycles = max(st.maxDone, st.drainTail)
 	return res
 }
 
-// runGeneric is the shape-agnostic loop: interface fetch and data ports,
-// with the fetch fast path tested per record. Every other kernel (and
-// the gang loop) must be cycle- and counter-identical to it.
-func runGeneric(st *replayState, lo, hi int) {
-	var (
-		ready      = &st.ready
-		pcs, addrs = st.pcs, st.addrs
-		dec        = st.dec
-		imem, dmem = st.imem, st.dmem
-		codeBase   = st.codeBase
-		issueWidth = st.issueWidth
-		sbuf, lq   = st.sbuf, st.lq
-		sbDepth    = len(sbuf)
-		lqDepth    = len(lq)
-		mpIdx      = st.mpIdx
-		fs         = &st.fs
-		fastFetch  = st.il1 != nil
-		il1Shift   = st.il1Shift
-
-		lastIssue  = st.lastIssue
-		slotsUsed  = st.slotsUsed
-		fetchLast  = st.fetchLast
-		fetchSlots = st.fetchSlots
-		redirectAt = st.redirectAt
-		divFree    = st.divFree
-		maxDone    = st.maxDone
-		drainTail  = st.drainTail
-		fetchStall = st.fetchStall
-		readStall  = st.readStall
-		writeStall = st.writeStall
-		sbHead     = st.sbHead
-		lqHead     = st.lqHead
-		nextMp     = st.nextMp
-		mpK        = st.mpK
-	)
-	for i := lo; i < hi; i++ {
-		pc := int(pcs[i])
-		d := &dec[pc]
-
-		// Instruction fetch through the IL1 (same slotting as RunState).
-		fetchAt := max(fetchLast, redirectAt)
-		if fetchAt > fetchLast {
-			fetchLast = fetchAt
-			fetchSlots = 1
-		} else {
-			fetchSlots++
-			if fetchSlots > issueWidth {
-				fetchLast++
-				fetchAt = fetchLast
-				fetchSlots = 1
-			}
-		}
-		fetchAddr := codeBase + mem.Addr(pc)*isa.InstBytes
-		var fetchDone int64
-		if fastFetch {
-			if line := fetchAddr >> il1Shift; line == fs.CurLine || fs.Switch(line) {
-				start := fetchAt
-				if bf := *fs.CurBankFree; bf > start {
-					fs.Conflicts += bf - start
-					start = bf
-				}
-				fetchDone = start + fs.Lat
-				*fs.CurBankFree = start + fs.Ival
-				fs.Seq++
-				if fetchDone < fs.CurReady {
-					fs.HUF += fs.CurReady - fetchDone
-					fetchDone = fs.CurReady
-				}
-			} else {
-				// Fetch miss: Switch closed the stream, so the generic
-				// access (which installs the line) sees consistent state.
-				fetchDone = imem.Access(fetchAt, mem.Req{Addr: fetchAddr, Bytes: isa.InstBytes, Kind: mem.Fetch})
-			}
-		} else {
-			fetchDone = imem.Access(fetchAt, mem.Req{Addr: fetchAddr, Bytes: isa.InstBytes, Kind: mem.Fetch})
-		}
-
-		base := max(fetchDone, redirectAt)
-		fetchStall += pos64(fetchDone - (lastIssue + 1))
-
-		// Packed operand readiness: max of done<<1|loadBit is the max
-		// done, load-attributed exactly when some register at that
-		// readiness was produced by a load.
-		pk := max(ready[d.srcA], ready[d.srcB], ready[d.srcD])
-		opnd := pk >> 1
-
-		// An operand stall is charged to loads exactly when the packed
-		// maximum carries the load bit; -(pk&1) is its all-ones mask.
-		issue := base
-		rpos := pos64(opnd - issue)
-		readStall += rpos & -(pk & 1)
-		issue += rpos
-		if d.flags&dfDiv != 0 && divFree > issue {
-			issue = divFree
-		}
-		if m := d.mem; m != 0 {
-			if m == 's' {
-				wpos := pos64(sbuf[sbHead] - issue)
-				writeStall += wpos
-				issue += wpos
-			} else if m == 'l' {
-				lpos := pos64(lq[lqHead] - issue)
-				readStall += lpos
-				issue += lpos
-			}
-		}
-
-		issue = max(issue, lastIssue)
-		if issue == lastIssue {
-			if slotsUsed >= issueWidth {
-				issue++
-				slotsUsed = 1
-			} else {
-				slotsUsed++
-			}
-		} else {
-			slotsUsed = 1
-		}
-		lastIssue = issue
-
-		done := issue + int64(d.lat)
-		var loadBit int64
-		if d.mem != 0 {
-			switch d.mem {
-			case 'l':
-				done = dmem.Access(issue+1, mem.Req{Addr: mem.Addr(addrs[i]), Bytes: int(d.accessBytes), Kind: mem.Read})
-				loadBit = 1
-				lq[lqHead] = done
-				if lqHead++; lqHead == lqDepth {
-					lqHead = 0
-				}
-			case 's':
-				start := max(issue+1, drainTail)
-				retire := dmem.Access(start, mem.Req{Addr: mem.Addr(addrs[i]), Bytes: int(d.accessBytes), Kind: mem.Write})
-				drainTail = retire
-				sbuf[sbHead] = retire
-				if sbHead++; sbHead == sbDepth {
-					sbHead = 0
-				}
-				done = issue + 1
-			case 'p':
-				dmem.Access(issue+1, mem.Req{Addr: mem.Addr(addrs[i]), Bytes: int(d.accessBytes), Kind: mem.Prefetch})
-				done = issue + 1
-			}
-		}
-
-		if d.flags&dfDiv != 0 {
-			divFree = done
-		}
-
-		// Only mispredicted branches redirect; the sparse index list names
-		// exactly those records, so no branch-class test is needed here.
-		if i == nextMp {
-			redirectAt = issue + 1 + st.penalty
-			nextMp = -1
-			if mpK++; mpK < len(mpIdx) {
-				nextMp = int(mpIdx[mpK])
-			}
-		}
-
-		ready[d.dst] = done<<1 | loadBit
-		maxDone = max(maxDone, done)
-	}
-	st.lastIssue = lastIssue
-	st.slotsUsed = slotsUsed
-	st.fetchLast = fetchLast
-	st.fetchSlots = fetchSlots
-	st.redirectAt = redirectAt
-	st.divFree = divFree
-	st.maxDone = maxDone
-	st.drainTail = drainTail
-	st.fetchStall = fetchStall
-	st.readStall = readStall
-	st.writeStall = writeStall
-	st.sbHead = sbHead
-	st.lqHead = lqHead
-	st.nextMp = nextMp
-	st.mpK = mpK
-}
-
-// runLean is the branch-lean variant for the dominant sweep shape: the
-// instruction side is a bare cache (unconditional FetchStream fast
-// path), the data port stays an interface. Identical to runGeneric with
-// the fastFetch test compiled out, and with three mechanical loop-body
-// strength reductions the reference kernel keeps out of its readable
-// form: the record streams are re-sliced to hi so the per-record index
-// is provably in bounds, the 8-byte decode entry is loaded by value into
-// a register instead of chased through a pointer ten times, and the
-// FetchStream's hot fields live in locals (written back before any
-// Switch/Close so the stream's flush arithmetic stays exact).
+// runLean is the kernel for an interface data port. Three mechanical
+// loop-body strength reductions keep it fast: the record streams are
+// re-sliced to hi so the per-record index is provably in bounds, the
+// 8-byte decode entry is loaded by value into a register instead of
+// chased through a pointer ten times, and the FetchStream's hot fields
+// live in locals (written back before any Switch/Close so the stream's
+// flush arithmetic stays exact).
 func runLean(st *replayState, lo, hi int) {
 	var (
 		ready      = &st.ready
@@ -472,9 +243,10 @@ func runLean(st *replayState, lo, hi int) {
 		} else {
 			// Line switch: sync the stream's counters (Switch may flush a
 			// slot or Close, both of which read them), then reload every
-			// local from the stream's post-switch state.
+			// local from the stream's post-switch state. Without a bare
+			// IL1 the stream stays closed and every fetch lands here.
 			fs.Seq, fs.Conflicts, fs.HUF = seq, conflicts, huf
-			if fs.Switch(line) {
+			if st.il1 != nil && fs.Switch(line) {
 				curLine, curReady, curBankFree = fs.CurLine, fs.CurReady, fs.CurBankFree
 				start := fetchAt
 				if bf := *curBankFree; bf > start {
@@ -597,8 +369,8 @@ func runLean(st *replayState, lo, hi int) {
 // runDirect is runLean with the Direct front-end compiled out: the DL1
 // is called concretely (no interface dispatch, no wrapper frame) and the
 // front-end's per-access class counting — a configuration-invariant
-// trace property — is reconciled in one RecordBulk at end of pass by the
-// driver. It carries the same loop-body strength reductions as runLean.
+// trace property — is reconciled in one RecordBulk by finish. It
+// carries the same loop-body strength reductions as runLean.
 func runDirect(st *replayState, lo, hi int) {
 	var (
 		ready      = &st.ready
@@ -670,7 +442,7 @@ func runDirect(st *replayState, lo, hi int) {
 			fetchDone += hpos
 		} else {
 			fs.Seq, fs.Conflicts, fs.HUF = seq, conflicts, huf
-			if fs.Switch(line) {
+			if st.il1 != nil && fs.Switch(line) {
 				curLine, curReady, curBankFree = fs.CurLine, fs.CurReady, fs.CurBankFree
 				start := fetchAt
 				if bf := *curBankFree; bf > start {

@@ -81,17 +81,17 @@ func (t *Trace) Len() int { return len(t.PCs) }
 func (t *Trace) TakenAt(i int) bool { return t.Taken[i>>6]&(1<<uint(i&63)) != 0 }
 
 // decoded is the per-PC static portion of the timing model: everything
-// RunState derives from the instruction word each time it retires.
+// RunState derives from the instruction word each time it retires. It
+// is packed to 8 bytes so the decode table stays dense in the replay
+// loop's cache working set (every field provably fits: latencies are
+// <= 16 cycles, the register file has 82 slots, and accesses are at
+// most a vector line wide).
 //
 // Absent operands are resolved to dummy register-file slots instead of a
 // -1 sentinel so the replay loop indexes unconditionally: srcDummy is a
 // read-only slot pinned at ready 0 / ALU producer (never the readiness
 // maximum that matters, never load-attributed), and dstDummy is a
 // write-only sink no source index ever reads.
-// decoded is the static decode of one instruction, packed to 8 bytes so
-// the decode table stays dense in the replay loop's cache working set
-// (every field provably fits: latencies are <= 16 cycles, the register
-// file has 82 slots, and accesses are at most a vector line wide).
 type decoded struct {
 	lat         uint8
 	srcA, srcB  uint8 // register-file indexes (srcDummy when absent)
@@ -273,6 +273,16 @@ func NewTrace(prog *isa.Program, pcs []int32, addrs []uint32, taken []uint64) (*
 	return &Trace{PCs: pcs, Addrs: addrs, Taken: taken, dec: dec, counts: countTrace(pcs, dec)}, nil
 }
 
+// decode returns the trace's decode table and retirement counts,
+// rebuilding them from prog for a trace that carries none.
+func (t *Trace) decode(prog *isa.Program) ([]decoded, traceCounts) {
+	if t.dec == nil {
+		dec := decodeProg(prog)
+		return dec, countTrace(t.PCs, dec)
+	}
+	return t.dec, t.counts
+}
+
 // mispredicts returns (computing and memoizing on first use) the
 // mispredict bitset for a predictor table of the given size: bit i set
 // means record i is a branch the 2-bit predictor gets wrong, or an
@@ -367,57 +377,19 @@ func (c *CPU) ReplayTrace(prog *isa.Program, tr *Trace) (*Result, error) {
 // lower bound of the full run's). With a nil ctl it is exactly
 // ReplayTrace.
 //
-// The pass runs on the kernel registry (kernel.go): the port topology
-// selects a specialized loop variant once, and this driver walks the
-// trace in chunks bounded by the next Abort/Interrupt probe point, so
-// the per-record probe arithmetic the loop used to carry is gone — a
-// probe every K records is a kernel call of K records, and the common
-// probe-free replay is a single kernel call over the whole trace.
+// The pass runs on the kernel its data port selects (kernel.go), and
+// this driver walks the trace in chunks bounded by the next
+// Abort/Interrupt probe point, so the loop itself carries no probe
+// arithmetic: a probe every K records is a kernel call of K records,
+// and the common probe-free replay is a single kernel call over the
+// whole trace.
 func (c *CPU) ReplayTraceCtl(prog *isa.Program, tr *Trace, ctl *ReplayCtl) (*Result, bool, error) {
-	return c.replayShaped(prog, tr, ctl, ShapeOf(c.IMem, c.DMem))
-}
-
-// ReplayTraceShaped is ReplayTraceCtl with the kernel shape pinned
-// instead of auto-selected — the equivalence harness uses it to diff
-// every specialized variant against ShapeGeneric on identical systems.
-// shape must not claim capabilities the ports lack (at most ShapeOf's
-// pick); ShapeGeneric is always valid.
-func (c *CPU) ReplayTraceShaped(prog *isa.Program, tr *Trace, ctl *ReplayCtl, shape KernelShape) (*Result, bool, error) {
-	if shape != ShapeGeneric {
-		if max := ShapeOf(c.IMem, c.DMem); shape > max {
-			return nil, false, fmt.Errorf("cpu: kernel shape %v not applicable to this port topology (max %v)", shape, max)
-		}
-	}
-	return c.replayShaped(prog, tr, ctl, shape)
-}
-
-func (c *CPU) replayShaped(prog *isa.Program, tr *Trace, ctl *ReplayCtl, shape KernelShape) (*Result, bool, error) {
-	cfg := c.Cfg
-	if cfg.IssueWidth <= 0 {
-		cfg.IssueWidth = 2
-	}
-	if cfg.StoreBufDepth <= 0 {
-		cfg.StoreBufDepth = 4
-	}
-	if cfg.LoadQueueDepth <= 0 {
-		cfg.LoadQueueDepth = 2
-	}
-	if cfg.MaxInsts == 0 {
-		cfg.MaxInsts = 2_000_000_000
-	}
-	dec, tc := tr.dec, tr.counts
-	if dec == nil {
-		dec = decodeProg(prog)
-		tc = countTrace(tr.PCs, dec)
-	}
+	cfg := c.Cfg.withDefaults()
+	dec, tc := tr.decode(prog)
 	mp := tr.mispredicts(cfg.BpredEntries)
 
 	st := &replayState{}
 	st.init(&cfg, c.IMem, c.DMem, tr, dec, mp.idx)
-	if shape == ShapeDirect {
-		st.bindDirect(c.DMem)
-	}
-	kern := kernels[shape]
 
 	pcs := tr.PCs
 	n := len(pcs)
@@ -425,10 +397,9 @@ func (c *CPU) replayShaped(prog *isa.Program, tr *Trace, ctl *ReplayCtl, shape K
 	if budgeted {
 		n = int(cfg.MaxInsts)
 	}
-	truncated := false
 	if ctl != nil && ctl.MaxRecords > 0 && ctl.MaxRecords < n {
 		n = ctl.MaxRecords
-		truncated, budgeted = true, false // the prefix retires within budget
+		budgeted = false // the prefix retires within budget
 	}
 	nextProbe := -1 // record count of the next Abort probe (-1 = never)
 	if ctl != nil && ctl.Abort != nil && ctl.CheckEvery > 0 {
@@ -451,7 +422,7 @@ func (c *CPU) replayShaped(prog *isa.Program, tr *Trace, ctl *ReplayCtl, shape K
 		if nextIntr > 0 && nextIntr < hi {
 			hi = nextIntr
 		}
-		kern(st, pos, hi)
+		st.run(pos, hi)
 		pos = hi
 		// Abort probe: maxDone only grows, so it is a sound lower bound
 		// of the pass's final cycle count at every probe point.
@@ -473,45 +444,15 @@ func (c *CPU) replayShaped(prog *isa.Program, tr *Trace, ctl *ReplayCtl, shape K
 			nextIntr += intrEvery
 		}
 	}
-	st.fs.Close()
 
-	if budgeted || truncated || aborted {
+	if n < len(pcs) {
 		// The partial result mirrors a live run's state at the cut:
 		// counters over the n records that did retire.
 		tc = countTrace(pcs[:n], dec)
-		if st.feDirect != nil {
-			st.feDirect.RecordBulk(tc.loads, tc.stores, tc.prefetches)
-		}
-		res := &Result{State: tr.Final}
-		res.FetchStallCycles = st.fetchStall
-		res.ReadStallCycles = st.readStall
-		res.WriteStallCycles = st.writeStall
-		res.Insts = uint64(n)
-		res.Loads, res.Stores, res.Prefetches = tc.loads, tc.stores, tc.prefetches
-		res.VecLoads, res.VecStores = tc.vecLoads, tc.vecStores
-		res.Branches = tc.branches
-		var mc uint64
-		for _, ix := range st.mpIdx {
-			if int(ix) >= n {
-				break
-			}
-			mc++
-		}
-		res.Mispredicts = mc
-		res.BranchStallCycles = int64(mc) * cfg.MispredictPenalty
-		if budgeted {
-			return res, false, &Fault{PC: int(pcs[n]), Msg: fmt.Sprintf("instruction budget %d exhausted (runaway loop?)", cfg.MaxInsts)}
-		}
-		maxDone := st.maxDone
-		if st.drainTail > maxDone {
-			maxDone = st.drainTail
-		}
-		res.Cycles = maxDone
-		return res, aborted, nil
 	}
-
-	if st.feDirect != nil {
-		st.feDirect.RecordBulk(tc.loads, tc.stores, tc.prefetches)
+	res := st.finish(tc, n, tr.Final)
+	if budgeted {
+		return res, false, &Fault{PC: int(pcs[n]), Msg: fmt.Sprintf("instruction budget %d exhausted (runaway loop?)", cfg.MaxInsts)}
 	}
-	return st.finishFull(tc, n, tr.Final), false, nil
+	return res, aborted, nil
 }

@@ -66,28 +66,45 @@ func TestHybridSpaceShape(t *testing.T) {
 	}
 }
 
-// hybridEval evaluates the full hybrid space on the small bench slice
-// with the given execution mode and worker count.
-func hybridEval(t *testing.T, replayMode bool, jobs int) *dse.Evaluation {
+// liveEngine is a dse.Engine that runs every simulation live through
+// sim.Run, with no memo, store or replay: the independent reference the
+// suite's replay engine is checked against.
+type liveEngine struct{ check bool }
+
+func (e liveEngine) Run(b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
+	cfg.Check = e.check
+	return sim.Run(b.Kernel(), cfg)
+}
+
+func (liveEngine) Prefetch([]polybench.Bench, ...sim.Config) error { return nil }
+
+// hybridEval evaluates the full hybrid space on the small bench slice.
+func hybridEval(t *testing.T, eng dse.Engine) *dse.Evaluation {
 	t.Helper()
 	sp, _ := dse.ByName("hybrid")
-	benches := hybridBenches(t)
-	s := experiments.NewSuiteJobs(benches, jobs)
-	s.SetReplay(replayMode)
-	ev, err := dse.Evaluate(s, benches, sp)
+	ev, err := dse.Evaluate(eng, hybridBenches(t), sp)
 	if err != nil {
-		t.Fatalf("evaluate hybrid (replay=%t, jobs=%d): %v", replayMode, jobs, err)
+		t.Fatalf("evaluate hybrid: %v", err)
 	}
 	return ev
 }
 
-// TestHybridSpaceLiveVsReplayAndWorkers is the ISSUE's hybrid
-// determinism requirement: the evaluation must be identical between
-// live execution and trace replay, and between -j 1 and -j 8.
+// checkedSuite is a replaying suite over the hybrid bench slice with the
+// timing oracle on.
+func checkedSuite(t *testing.T, jobs int) *experiments.Suite {
+	s := experiments.NewSuiteJobs(hybridBenches(t), jobs)
+	s.SetCheck(true)
+	return s
+}
+
+// TestHybridSpaceLiveVsReplayAndWorkers is the hybrid determinism
+// requirement, under the timing oracle: the evaluation must be
+// identical between live execution and trace replay, and between -j 1
+// and -j 8.
 func TestHybridSpaceLiveVsReplayAndWorkers(t *testing.T) {
-	live1 := hybridEval(t, false, 1)
-	rep1 := hybridEval(t, true, 1)
-	rep8 := hybridEval(t, true, 8)
+	live1 := hybridEval(t, liveEngine{check: true})
+	rep1 := hybridEval(t, checkedSuite(t, 1))
+	rep8 := hybridEval(t, checkedSuite(t, 8))
 	if !reflect.DeepEqual(live1.Benches, rep1.Benches) || !reflect.DeepEqual(live1.Points, rep1.Points) {
 		t.Errorf("hybrid evaluation diverged between live and replay:\nlive   %+v\nreplay %+v",
 			live1.Points, rep1.Points)

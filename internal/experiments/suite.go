@@ -38,13 +38,10 @@ type Suite struct {
 	// check runs every simulation under the internal/check timing
 	// oracle (sim.Config.Check); a contract violation fails the run.
 	check bool
-	// replay executes simulations by trace replay (capture the
-	// functional stream once per kernel variant, re-run only the timing
-	// model per design point; DESIGN.md §7.4), falling back to live
-	// execution if the replay path fails. On by default; results are
-	// byte-identical either way, so the memo key does not include it.
-	replay bool
-	// traces is the shared compile+capture cache behind replay mode.
+	// traces is the shared compile+capture cache: every simulation is a
+	// trace replay (capture the functional stream once per kernel
+	// variant, re-run only the timing model per design point; DESIGN.md
+	// §7.4).
 	traces *replay.Cache
 	// store is the optional persistent evaluation cache (DESIGN.md
 	// §7.7): a second memo tier behind the in-memory pool, addressed by
@@ -53,11 +50,6 @@ type Suite struct {
 	// capture and the entire timing model; results are byte-identical
 	// either way, so the memo key does not include it.
 	store *store.Store
-	// gang is the gang-replay width for batch prefetches (DESIGN.md
-	// §7.9): 0 picks a width per benchmark, 1 disables ganging, larger
-	// values apply as given. Gang replay is cycle-identical to serial
-	// replay, so the memo key does not include it.
-	gang int
 }
 
 // NewSuite builds a suite over the given benchmarks (nil = all) with the
@@ -76,7 +68,6 @@ func NewSuiteJobs(benches []polybench.Bench, jobs int) *Suite {
 		Benches: benches,
 		pool:    runner.New[string, *sim.RunResult](jobs),
 		ctx:     context.Background(),
-		replay:  true,
 		traces:  replay.NewCache(),
 	}
 }
@@ -94,31 +85,11 @@ func (s *Suite) SetProgress(fn stats.ProgressFunc) { s.pool.SetProgress(fn) }
 // experiments.
 func (s *Suite) SetCheck(on bool) { s.check = on }
 
-// SetReplay turns trace replay on or off (the sttexplore -replay flag;
-// on by default). Replay and live execution produce byte-identical
-// results — replay is purely a performance mode — so flipping it never
-// changes figures, and memoized results are shared across modes. Install
-// it before running experiments.
-func (s *Suite) SetReplay(on bool) { s.replay = on }
-
-// SetGang sets the gang-replay width — how many configurations one
-// trace walk carries in batch prefetches (the sttexplore -gang flag).
-// 0 (the default) picks a width per benchmark, 1 disables ganging, and
-// widths above 1 apply as given. Ganging requires replay mode; it is
-// purely a performance mode (every gang member's result is
-// cycle-identical to its own serial replay), so flipping it never
-// changes figures and memoized results are shared across modes.
-func (s *Suite) SetGang(n int) { s.gang = n }
-
-// gangWidthFor resolves the effective gang width for one benchmark.
-func (s *Suite) gangWidthFor(b polybench.Bench) int {
-	if s.gang > 1 {
-		return s.gang
-	}
-	// Auto width: wide batches amortize the trace walk, but every member
-	// carries a private DL1+L2 model whose hot lines compete in the host
-	// cache, so large problem sizes (bigger live sets per member) gang
-	// narrower.
+// gangWidthFor is the gang-replay width for one benchmark (DESIGN.md
+// §7.9): wide batches amortize the trace walk, but every member carries
+// a private DL1+L2 model whose hot lines compete in the host cache, so
+// large problem sizes (bigger live sets per member) gang narrower.
+func gangWidthFor(b polybench.Bench) int {
 	if b.Default > 48 {
 		return 4
 	}
@@ -181,11 +152,8 @@ func (s *Suite) Stored(b polybench.Bench, cfg sim.Config) bool {
 }
 
 // execute performs one simulation: the persistent store tier first
-// (when installed), then trace replay when enabled, with live execution
-// as the fallback on any replay-path error that is not the caller's own
-// cancellation (a functional fault reproduces identically either way,
-// so the fallback's error message is the canonical one). The returned
-// bool reports a store hit — the timing model never ran.
+// (when installed), then trace replay. The returned bool reports a
+// store hit — the timing model never ran.
 func (s *Suite) execute(ctx context.Context, b polybench.Bench, cfg sim.Config) (*sim.RunResult, bool, error) {
 	key, useStore := s.storeKey(ctx, b, cfg)
 	if useStore {
@@ -198,7 +166,7 @@ func (s *Suite) execute(ctx context.Context, b polybench.Bench, cfg sim.Config) 
 			return rec.Result, true, nil
 		}
 	}
-	r, err := s.executeSim(ctx, b, cfg)
+	r, err := replay.Run(ctx, s.traces, b, cfg)
 	if err == nil && useStore {
 		// Best-effort publish: a failed write (full disk, permissions)
 		// costs future warmth, never correctness — and failures are never
@@ -206,18 +174,6 @@ func (s *Suite) execute(ctx context.Context, b polybench.Bench, cfg sim.Config) 
 		_ = s.store.Put(key, store.NewRecord(b.Name, b.Default, r))
 	}
 	return r, false, err
-}
-
-// executeSim is the simulation behind the store tier: replay-first with
-// live fallback.
-func (s *Suite) executeSim(ctx context.Context, b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
-	if s.replay {
-		r, err := replay.Run(ctx, s.traces, b, cfg)
-		if err == nil || ctx.Err() != nil {
-			return r, err
-		}
-	}
-	return sim.Run(b.Kernel(), cfg)
 }
 
 // applyCheck folds the suite's checking mode into a run configuration.
@@ -399,42 +355,6 @@ func (s *Suite) Prefetch(benches []polybench.Bench, cfgs ...sim.Config) error {
 	return s.PrefetchSpecs(specs)
 }
 
-// PrefetchSpecs fans an explicit batch out over the worker pool. The
-// batch is submitted in sorted key order so the engine's schedule — and
-// therefore its progress stream — is reproducible run to run. In replay
-// mode with ganging enabled, specs sharing one trace (same benchmark,
-// problem size and compile options) are batched into gang replays
-// (DESIGN.md §7.9): each batch occupies a single worker slot and walks
-// the trace once for all of its configurations, with members beyond the
-// batch leader published straight into the memo.
-func (s *Suite) PrefetchSpecs(specs []Spec) error {
-	if s.replay && s.gang != 1 {
-		return s.prefetchGanged(specs)
-	}
-	tasks := make([]runner.Task[string, *sim.RunResult], len(specs))
-	for i, sp := range specs {
-		sp := sp
-		sp.Config = s.applyCheck(sp.Config)
-		key := runKey(sp.Bench, sp.Config)
-		tasks[i] = runner.Task[string, *sim.RunResult]{
-			Key:   key,
-			Label: runLabel(sp.Bench, sp.Config),
-			Run: func(ctx context.Context) (*sim.RunResult, error) {
-				r, cached, err := s.execute(ctx, sp.Bench, sp.Config)
-				if cached {
-					s.pool.NoteCached(key)
-				}
-				return r, err
-			},
-		}
-	}
-	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Key < tasks[j].Key })
-	if _, err := s.pool.Run(s.ctx, tasks); err != nil {
-		return fmt.Errorf("experiments: prefetch: %w", err)
-	}
-	return nil
-}
-
 // gangMember is one configuration of a gang batch with its memo
 // identity.
 type gangMember struct {
@@ -442,15 +362,19 @@ type gangMember struct {
 	cfg        sim.Config
 }
 
-// prefetchGanged is the gang-replay batch scheduler behind
-// PrefetchSpecs. Specs are deduplicated by run key, already-memoized
-// (or in-flight) keys are dropped, the rest are grouped by the trace
-// they replay and chunked into batches of the benchmark's gang width.
-// Each batch runs as one pool task keyed by its first member; the other
-// members' results are published into the memo as the batch completes,
-// so the engine's accounting still sees exactly one completion per
-// unique simulation. Singleton batches take the ordinary serial path.
-func (s *Suite) prefetchGanged(specs []Spec) error {
+// PrefetchSpecs fans an explicit batch out over the worker pool. Specs
+// are deduplicated by run key, already-memoized (or in-flight) keys are
+// dropped, and the rest are grouped by the trace they replay (same
+// benchmark, problem size and compile options) and chunked into gang
+// replays of the benchmark's gang width (DESIGN.md §7.9). Each batch
+// runs as one pool task keyed by its first member and walks the trace
+// once for all of its configurations; the other members' results are
+// published into the memo as the batch completes, so the engine's
+// accounting still sees exactly one completion per unique simulation.
+// Singleton batches take the ordinary serial path. Tasks are submitted
+// in sorted key order so the engine's schedule — and therefore its
+// progress stream — is reproducible run to run.
+func (s *Suite) PrefetchSpecs(specs []Spec) error {
 	seen := make(map[string]bool, len(specs))
 	type group struct {
 		bench   polybench.Bench
@@ -486,7 +410,7 @@ func (s *Suite) prefetchGanged(specs []Spec) error {
 		// function of the spec set, never of map iteration or submission
 		// order.
 		sort.Slice(g.members, func(i, j int) bool { return g.members[i].key < g.members[j].key })
-		width := s.gangWidthFor(g.bench)
+		width := gangWidthFor(g.bench)
 		for lo := 0; lo < len(g.members); lo += width {
 			hi := lo + width
 			if hi > len(g.members) {
@@ -527,8 +451,8 @@ func (s *Suite) prefetchGanged(specs []Spec) error {
 
 // executeGang runs one gang batch under the leader's worker slot: the
 // persistent store tier first per member, one gang replay for the
-// misses, then a serial per-member fallback if the gang path fails
-// (mirroring executeSim's replay-then-live fallback). Members beyond
+// misses, then a serial per-member fallback if the gang path fails.
+// Members beyond
 // the leader are published into the memo; the leader's result is
 // returned as the task's value.
 func (s *Suite) executeGang(ctx context.Context, b polybench.Bench, members []gangMember) (*sim.RunResult, error) {

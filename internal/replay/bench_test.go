@@ -1,7 +1,7 @@
 // Micro-benchmarks for the replay timing kernels (DESIGN.md §7.9):
 // one configuration, one captured trace, timing passes only — the
-// tightest possible loop over the kernel registry, for comparing kernel
-// variants without the sweep engine's scheduling and scoring around
+// tightest possible loop over the two replay kernels, for comparing
+// them without the sweep engine's scheduling and scoring around
 // them. scripts/bench.sh records the sweep-level numbers; these are for
 // profiling sessions.
 package replay_test

@@ -6,11 +6,8 @@ package replay_test
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
-	"sttdl1/internal/dse"
-	"sttdl1/internal/experiments"
 	"sttdl1/internal/polybench"
 	"sttdl1/internal/replay"
 	"sttdl1/internal/sim"
@@ -90,36 +87,5 @@ func TestGangReplayOrderIndependent(t *testing.T) {
 	}
 	for i, p := range perm {
 		mustEqualResults(t, "permuted member "+cfgs[p].Name, straight[p], shuffled[i])
-	}
-}
-
-// TestGangWidthsEvaluationIdentity runs the smoke design space through
-// the full suite engine at gang widths 1 (off), 2 and 8 and demands
-// identical evaluations — the end-to-end form of the width-independence
-// contract, through batching, the result store keys and the scoring
-// pipeline.
-func TestGangWidthsEvaluationIdentity(t *testing.T) {
-	sp, ok := dse.ByName("smoke")
-	if !ok {
-		t.Fatal("smoke space not registered")
-	}
-	benches := smokeBenches(t)
-	evalAt := func(width int) *dse.Evaluation {
-		s := experiments.NewSuiteJobs(benches, 2)
-		s.SetReplay(true)
-		s.SetGang(width)
-		ev, err := dse.Evaluate(s, benches, sp)
-		if err != nil {
-			t.Fatalf("evaluate smoke at gang width %d: %v", width, err)
-		}
-		return ev
-	}
-	ref := evalAt(1)
-	for _, width := range []int{2, 8} {
-		got := evalAt(width)
-		if !reflect.DeepEqual(ref.Benches, got.Benches) || !reflect.DeepEqual(ref.Points, got.Points) {
-			t.Errorf("smoke evaluation diverged between gang widths 1 and %d:\nwidth 1 %+v\nwidth %d %+v",
-				width, ref.Points, width, got.Points)
-		}
 	}
 }

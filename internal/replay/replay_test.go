@@ -2,14 +2,17 @@
 // replay is a pure performance mode, so every number a simulation
 // produces — cycles, each stall counter, every per-level cache
 // statistic — must be identical to live execution, not merely close.
-// These tests pin that contract over the full Fig. 3 configuration
-// matrix, the smoke design space, worker-count determinism, and the
-// serialized trace format.
+// These tests pin that contract against live execution (sim.Run, the
+// functional interpreter stepping the timing model) over the full Fig. 3
+// configuration matrix plus random mega-space points and the
+// wrapped-IL1 configurations, over the smoke design space, and for
+// worker-count determinism and the serialized trace format.
 package replay_test
 
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -19,6 +22,7 @@ import (
 	"sttdl1/internal/polybench"
 	"sttdl1/internal/replay"
 	"sttdl1/internal/sim"
+	"sttdl1/internal/tech"
 )
 
 // matrixConfigs is the full Fig. 3 configuration matrix: the SRAM
@@ -76,14 +80,55 @@ func mustEqualResults(t *testing.T, label string, live, rep *sim.RunResult) {
 	}
 }
 
+// megaConfig derives a deterministic random configuration of the mega
+// design space from a seed (the same construction as dse's canonical-key
+// quick tests); ok is false when the space's constraints prune the
+// genome.
+func megaConfig(sp dse.Space, seed uint64) (sim.Config, bool) {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	genome := make([]int, len(sp.Axes))
+	for i, a := range sp.Axes {
+		genome[i] = rng.Intn(len(a.Values))
+	}
+	pt, ok := sp.At(genome)
+	return pt.Config, ok
+}
+
+// extraConfigs are the configurations the matrix test adds beyond
+// Fig. 3: deterministic random mega-space points (the exotic port
+// stacks), and the two ways the instruction port stops being a bare
+// cache — the ablation-icache EMSHR in front of an STT-MRAM IL1, and a
+// checked run, whose oracle wraps every port.
+func extraConfigs(t *testing.T) []sim.Config {
+	t.Helper()
+	sp, ok := dse.ByName("mega")
+	if !ok {
+		t.Fatal("mega space not registered")
+	}
+	var out []sim.Config
+	for seed := uint64(1); seed <= 8; seed++ {
+		if cfg, ok := megaConfig(sp, seed); ok {
+			out = append(out, cfg)
+		}
+	}
+	emshrI := sim.BaselineSRAM()
+	emshrI.Name = "stt-il1-emshr"
+	emshrI.IL1Cell = tech.STT2T2MTJ
+	emshrI.IL1FrontEnd = sim.FEEMSHR
+	checked := sim.ProposalVWB()
+	checked.Check = true
+	return append(out, emshrI, checked)
+}
+
 // TestReplayMatchesLiveFig3Matrix replays every benchmark under the full
-// Fig. 3 configuration matrix and demands exact equality with live
-// execution on every counter.
+// Fig. 3 configuration matrix, and the smoke benchmarks under the extra
+// configurations, and demands exact equality with live execution on
+// every counter.
 func TestReplayMatchesLiveFig3Matrix(t *testing.T) {
 	traces := replay.NewCache()
 	ctx := context.Background()
-	for _, cfg := range matrixConfigs() {
-		for _, b := range matrixBenches(t) {
+	check := func(cfg sim.Config, benches []polybench.Bench) {
+		for _, b := range benches {
 			live, err := sim.Run(b.Kernel(), cfg)
 			if err != nil {
 				t.Fatalf("live %s on %s: %v", b.Name, cfg.Name, err)
@@ -94,6 +139,12 @@ func TestReplayMatchesLiveFig3Matrix(t *testing.T) {
 			}
 			mustEqualResults(t, b.Name+" on "+cfg.Name, live, rep)
 		}
+	}
+	for _, cfg := range matrixConfigs() {
+		check(cfg, matrixBenches(t))
+	}
+	for _, cfg := range extraConfigs(t) {
+		check(cfg, smokeBenches(t))
 	}
 }
 
@@ -111,30 +162,47 @@ func smokeBenches(t *testing.T) []polybench.Bench {
 	return out
 }
 
-// smokeEval evaluates the smoke space with the given execution mode and
-// worker count.
-func smokeEval(t *testing.T, replayMode bool, jobs int) *dse.Evaluation {
+// liveEngine is a dse.Engine that runs every simulation live through
+// sim.Run, with no memo, store or replay: the independent reference the
+// suite's replay engine is checked against.
+type liveEngine struct{ check bool }
+
+func (e liveEngine) Run(b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
+	cfg.Check = e.check
+	return sim.Run(b.Kernel(), cfg)
+}
+
+func (liveEngine) Prefetch([]polybench.Bench, ...sim.Config) error { return nil }
+
+// evalSmoke evaluates the smoke space on eng.
+func evalSmoke(t *testing.T, eng dse.Engine) *dse.Evaluation {
 	t.Helper()
 	sp, ok := dse.ByName("smoke")
 	if !ok {
 		t.Fatal("smoke space not registered")
 	}
-	benches := smokeBenches(t)
-	s := experiments.NewSuiteJobs(benches, jobs)
-	s.SetReplay(replayMode)
-	ev, err := dse.Evaluate(s, benches, sp)
+	ev, err := dse.Evaluate(eng, smokeBenches(t), sp)
 	if err != nil {
-		t.Fatalf("evaluate smoke (replay=%t, jobs=%d): %v", replayMode, jobs, err)
+		t.Fatalf("evaluate smoke: %v", err)
 	}
 	return ev
 }
 
-// TestSmokeSpaceReplayMatchesLive runs the smoke design space in both
-// execution modes and demands identical evaluations: every point's
-// objectives, ranks and ordering.
+// smokeEval evaluates the smoke space on a replaying suite with the
+// given worker count, checked or not.
+func smokeEval(t *testing.T, jobs int, check bool) *dse.Evaluation {
+	t.Helper()
+	s := experiments.NewSuiteJobs(smokeBenches(t), jobs)
+	s.SetCheck(check)
+	return evalSmoke(t, s)
+}
+
+// TestSmokeSpaceReplayMatchesLive runs the smoke design space live and
+// through the replaying suite, both under the timing oracle, and demands
+// identical evaluations: every point's objectives, ranks and ordering.
 func TestSmokeSpaceReplayMatchesLive(t *testing.T) {
-	live := smokeEval(t, false, 1)
-	rep := smokeEval(t, true, 1)
+	live := evalSmoke(t, liveEngine{check: true})
+	rep := smokeEval(t, 1, true)
 	// The Space itself holds axis-apply closures (func values never
 	// compare equal); the evaluation's substance is Benches + Points.
 	if !reflect.DeepEqual(live.Benches, rep.Benches) || !reflect.DeepEqual(live.Points, rep.Points) {
@@ -143,11 +211,10 @@ func TestSmokeSpaceReplayMatchesLive(t *testing.T) {
 }
 
 // TestReplayDeterministicAcrossWorkers pins the engine's determinism
-// contract in replay mode: the smoke evaluation is identical at any
-// worker count.
+// contract: the smoke evaluation is identical at any worker count.
 func TestReplayDeterministicAcrossWorkers(t *testing.T) {
-	serial := smokeEval(t, true, 1)
-	parallel := smokeEval(t, true, 8)
+	serial := smokeEval(t, 1, false)
+	parallel := smokeEval(t, 8, false)
 	if !reflect.DeepEqual(serial.Benches, parallel.Benches) || !reflect.DeepEqual(serial.Points, parallel.Points) {
 		t.Errorf("replay evaluation differs between -j 1 and -j 8:\nserial   %+v\nparallel %+v", serial.Points, parallel.Points)
 	}

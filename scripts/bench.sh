@@ -71,9 +71,8 @@ wait "$serve_pid"
 gobench=$(go test -run '^$' -bench '^BenchmarkStoreSweep$' -benchtime "$benchtime" -benchmem .)
 printf '%s\n' "$gobench"
 
-# Replay engine (DESIGN.md §7.9): the cold smoke sweep with gang replay
-# on (auto width) vs off (serial). Both arms are byte-identical
-# evaluations; the serial/gang ns/op ratio is the gang speedup.
+# Replay engine (DESIGN.md §7.9): the cold smoke sweep, gang replay at
+# the automatic width.
 replaybench=$(go test -run '^$' -bench '^BenchmarkReplaySweep$' -benchtime "$benchtime" -benchmem .)
 printf '%s\n' "$replaybench"
 
@@ -90,9 +89,6 @@ rfield() { printf '%s\n' "$replaybench" | awk -v pat="$1" -v f="$2" '$0 ~ pat { 
 gang_ns=$(rfield 'BenchmarkReplaySweep/gang' 3)
 gang_bytes=$(rfield 'BenchmarkReplaySweep/gang' 5)
 gang_allocs=$(rfield 'BenchmarkReplaySweep/gang' 7)
-serial_ns=$(rfield 'BenchmarkReplaySweep/serial' 3)
-serial_bytes=$(rfield 'BenchmarkReplaySweep/serial' 5)
-serial_allocs=$(rfield 'BenchmarkReplaySweep/serial' 7)
 
 awk -v space="$space" \
 	-v cold_ms="$cold_ms" -v warm_ms="$warm_ms" \
@@ -101,7 +97,6 @@ awk -v space="$space" \
 	-v cns="$cold_ns" -v cb="$cold_bytes" -v ca="$cold_allocs" \
 	-v wns="$warm_ns" -v wb="$warm_bytes" -v wa="$warm_allocs" \
 	-v gns="$gang_ns" -v gb="$gang_bytes" -v ga="$gang_allocs" \
-	-v sns="$serial_ns" -v sb="$serial_bytes" -v sa="$serial_allocs" \
 	'BEGIN {
 		printf "{\n"
 		printf "  \"space\": \"%s\",\n", space
@@ -122,9 +117,7 @@ awk -v space="$space" \
 		printf "    \"warm\": { \"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d }\n", wns, wb, wa
 		printf "  },\n"
 		printf "  \"replay\": {\n"
-		printf "    \"gang\": { \"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d },\n", gns, gb, ga
-		printf "    \"serial\": { \"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d },\n", sns, sb, sa
-		printf "    \"gang_speedup\": %.2f\n", sns / (gns > 0 ? gns : 1)
+		printf "    \"gang\": { \"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d }\n", gns, gb, ga
 		printf "  }\n"
 		printf "}\n"
 	}' >"$out"
