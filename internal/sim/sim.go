@@ -184,6 +184,10 @@ type System struct {
 	// DL1Model is the technology model behind the DL1 latencies.
 	DL1Model tech.Model
 
+	// il1FE is the structure in front of the IL1 (nil when fetches go
+	// straight to it); ResetTiming must reset it with the rest.
+	il1FE core.FrontEnd
+
 	// checks holds the timing-oracle wrappers when Cfg.Check is set
 	// (empty otherwise); runOnce turns their violations into an error.
 	checks []*check.Port
@@ -240,11 +244,13 @@ func New(cfg Config) (*System, error) {
 	}
 	il1 := cache.New(il1Cfg, l2Port)
 	imem := wrap("IL1", il1)
+	var il1FE core.FrontEnd
 	switch cfg.IL1FrontEnd {
 	case FEDirect:
 		// fetch straight from the IL1
 	case FEEMSHR:
-		imem = wrap("IL1-emshr", core.NewEMSHR(core.EMSHRConfig{SizeBits: cfg.BufferBits, LineSize: 64, HitLat: 1, BeatBytes: 32}, imem))
+		il1FE = core.NewEMSHR(core.EMSHRConfig{SizeBits: cfg.BufferBits, LineSize: 64, HitLat: 1, BeatBytes: 32}, imem)
+		imem = wrap("IL1-emshr", il1FE)
 	default:
 		return nil, fmt.Errorf("sim: unsupported IL1 front-end %v", cfg.IL1FrontEnd)
 	}
@@ -310,7 +316,7 @@ func New(cfg Config) (*System, error) {
 	}
 
 	c := &cpu.CPU{Cfg: cfg.CPU, IMem: imem, DMem: wrap("FE-"+fe.Name(), fe)}
-	return &System{Cfg: cfg, CPU: c, IL1: il1, DL1: dl1, L2: l2, DRAM: dram, FE: fe, DL1Model: model, checks: checks}, nil
+	return &System{Cfg: cfg, CPU: c, IL1: il1, DL1: dl1, L2: l2, DRAM: dram, FE: fe, DL1Model: model, il1FE: il1FE, checks: checks}, nil
 }
 
 // RunResult is the outcome of one kernel on one configuration.
@@ -337,6 +343,9 @@ func (s *System) ResetTiming() {
 	s.L2.ResetTiming()
 	s.DRAM.Reset()
 	s.FE.ResetTiming()
+	if s.il1FE != nil {
+		s.il1FE.ResetTiming()
+	}
 	// Re-baseline the oracle after the component clocks went back to 0.
 	for _, cp := range s.checks {
 		cp.ResetTiming()

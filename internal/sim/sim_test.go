@@ -174,6 +174,23 @@ func TestWarmupDeterminism(t *testing.T) {
 	}
 }
 
+// TestResetTimingResetsIL1FrontEnd runs the ablation-icache EMSHR point
+// under the timing oracle. The measured pass must start from the same
+// zeroed clocks as every other component: an IL1 front end that kept
+// the warm-up's busy clocks made the oracle report them moving
+// backward.
+func TestResetTimingResetsIL1FrontEnd(t *testing.T) {
+	b, _ := polybench.ByName("atax")
+	cfg := BaselineSRAM()
+	cfg.Name = "stt-il1-emshr"
+	cfg.IL1Cell = tech.STT2T2MTJ
+	cfg.IL1FrontEnd = FEEMSHR
+	cfg.Check = true
+	if _, err := Run(b.Kernel(), cfg); err != nil {
+		t.Fatalf("checked run: %v", err)
+	}
+}
+
 func TestColdStartSlower(t *testing.T) {
 	k := smallKernel()
 	warm, _ := Run(k, BaselineSRAM())
