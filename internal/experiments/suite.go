@@ -452,9 +452,8 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 // executeGang runs one gang batch under the leader's worker slot: the
 // persistent store tier first per member, one gang replay for the
 // misses, then a serial per-member fallback if the gang path fails.
-// Members beyond
-// the leader are published into the memo; the leader's result is
-// returned as the task's value.
+// Members beyond the leader are published into the memo; the leader's
+// result is returned as the task's value.
 func (s *Suite) executeGang(ctx context.Context, b polybench.Bench, members []gangMember) (*sim.RunResult, error) {
 	results := make([]*sim.RunResult, len(members))
 	cached := make([]bool, len(members))
