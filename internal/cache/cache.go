@@ -10,8 +10,7 @@
 //   - a banked data array: one line promotion into the Very Wide Buffer
 //     occupies the source bank for the full read latency, and a
 //     concurrent access to the same bank stalls (paper §IV);
-//   - MSHRs, so software prefetches overlap with execution and demand
-//     accesses merge into in-flight misses;
+//   - MSHRs, so misses and software prefetches overlap with execution;
 //   - a small eviction write buffer, "present to hold the evicted data
 //     temporarily while being transferred to the L2" (paper §IV).
 package cache
@@ -118,11 +117,17 @@ type line struct {
 }
 
 type mshr struct {
+	// lineAddr names the line the fill installs; unnamed once the line
+	// has left the array (the slot stays occupied until ready).
 	lineAddr mem.Addr
 	valid    bool
 	// ready is the cycle the fill completes; the entry frees then.
 	ready int64
 }
+
+// unnamed is an MSHR's lineAddr after its line left the array; it is
+// not line-aligned, so it never equals a real line address.
+const unnamed = ^mem.Addr(0)
 
 type wbEntry struct {
 	// retire is the cycle at which the buffered eviction has drained to
@@ -455,9 +460,9 @@ func (c *Cache) accessOne(now int64, req mem.Req) int64 {
 		// Causality: the victim slot is installed at miss time while the
 		// fill is still in flight, so a lookup can hit a line whose data
 		// does not exist yet. Such a hit cannot complete before the fill
-		// delivers the line — cap it at the line's ready time, matching
-		// the merge path's timing. A write retires into the freshly
-		// filled line (lat is the partition's write latency here).
+		// delivers the line — cap it at the line's ready time. A write
+		// retires into the freshly filled line (lat is the partition's
+		// write latency here).
 		avail := ln.ready
 		if isWrite {
 			avail = ln.ready + lat
@@ -471,34 +476,13 @@ func (c *Cache) accessOne(now int64, req mem.Req) int64 {
 
 	// Miss: the tag/array probe occupies the main (NVM) partition,
 	// unless the array is all-SRAM.
+	// A tag miss never merges into an MSHR: a fill still in flight has
+	// its line installed (so a second access hits under it), and a line
+	// that left the array owes nothing to its old fill.
 	clocks, mlat, mival := c.missClocks()
-	wlat := c.cfg.WriteLat
-	sramProbe := c.cfg.SRAMWays == c.cfg.Assoc && c.sramFree != nil
-	if sramProbe {
-		wlat = c.cfg.SRAMWriteLat
-	}
 	start := c.waitBank(clocks, bank, now, req.Kind)
-	if sramProbe {
+	if c.cfg.SRAMWays == c.cfg.Assoc && c.sramFree != nil {
 		c.SRAMReads++
-	}
-
-	// First check for an in-flight fill of the same line.
-	if m := c.findMSHR(lineAddr); m != nil {
-		done := m.ready
-		if done < start {
-			done = start
-		}
-		if isWrite {
-			// The write retires into the freshly filled line.
-			done += wlat
-			c.touchFilledLine(set, tag, true)
-		} else {
-			c.touchFilledLine(set, tag, false)
-		}
-		if req.Kind == mem.Prefetch {
-			return start
-		}
-		return done
 	}
 
 	// A software prefetch is a hint: rather than stall on a full MSHR
@@ -530,6 +514,8 @@ func (c *Cache) accessOne(now int64, req mem.Req) int64 {
 	}
 	victim := &c.sets[set][vw]
 	if victim.valid {
+		victimAddr := c.reconstructAddr(set, victim.tag)
+		c.unnameMSHR(victimAddr)
 		c.Evictions++
 		if c.gated != nil && vw >= c.cfg.SRAMWays {
 			// Capacity pressure on the gateable partition: wake signal
@@ -538,7 +524,7 @@ func (c *Cache) accessOne(now int64, req mem.Req) int64 {
 		}
 		if victim.dirty {
 			c.DirtyEvictions++
-			fillDone = c.pushWriteback(fillDone, c.reconstructAddr(set, victim.tag))
+			fillDone = c.pushWriteback(fillDone, victimAddr)
 		}
 	}
 	*victim = line{tag: tag, valid: true, dirty: isWrite, lastUse: c.useClock, ready: fillDone + 1}
@@ -628,8 +614,10 @@ func (c *Cache) gateWay(w int, b int64) {
 	for set := range c.sets {
 		ln := &c.sets[set][w]
 		if ln.valid {
+			addr := c.reconstructAddr(set, ln.tag)
+			c.unnameMSHR(addr)
 			if ln.dirty {
-				c.next.Access(b, mem.Req{Addr: c.reconstructAddr(set, ln.tag), Bytes: c.cfg.LineSize, Kind: mem.WriteBack})
+				c.next.Access(b, mem.Req{Addr: addr, Bytes: c.cfg.LineSize, Kind: mem.WriteBack})
 				c.WayFlushWBs++
 			}
 			*ln = line{}
@@ -847,30 +835,19 @@ func (s *FetchStream) Close() {
 	s.Seq, s.Conflicts, s.HUF = 0, 0, 0
 }
 
-// touchFilledLine refreshes LRU/dirty state for a line that an MSHR merge
-// hit; the line may already be installed by the original miss.
-func (c *Cache) touchFilledLine(set int, tag mem.Addr, dirty bool) {
-	if w := c.lookup(set, tag); w >= 0 {
-		ln := &c.sets[set][w]
-		ln.lastUse = c.useClock
-		if dirty {
-			ln.dirty = true
-		}
-	}
-}
-
 func (c *Cache) reconstructAddr(set int, tag mem.Addr) mem.Addr {
 	l := mem.Addr(set) | tag<<c.setShift
 	return l << c.lineShift
 }
 
-func (c *Cache) findMSHR(lineAddr mem.Addr) *mshr {
+// unnameMSHR is called when lineAddr leaves the array: its entry keeps
+// occupying the slot until the fill's ready, but names no line.
+func (c *Cache) unnameMSHR(lineAddr mem.Addr) {
 	for i := range c.mshrs {
 		if c.mshrs[i].valid && c.mshrs[i].lineAddr == lineAddr {
-			return &c.mshrs[i]
+			c.mshrs[i].lineAddr = unnamed
 		}
 	}
-	return nil
 }
 
 // allocMSHRTime returns the cycle at which an MSHR slot is available at or
@@ -991,7 +968,8 @@ type MSHRView struct {
 
 // MSHRs returns the current MSHR file contents (no timing side effects).
 // Entries whose Ready has passed may linger as Valid: the file expires
-// them lazily on the next allocation.
+// them lazily on the next allocation. A valid entry names a resident
+// line, or no line at all once its line has left the array.
 func (c *Cache) MSHRs() []MSHRView { return c.AppendMSHRs(nil) }
 
 // AppendMSHRs appends the MSHR file contents to dst and returns the

@@ -179,8 +179,9 @@ func TestMSHRMerge(t *testing.T) {
 	next := &mem.FixedPort{Latency: 50}
 	c := New(cfg64k(), next)
 	d1 := c.Access(0, mem.Req{Addr: 0, Bytes: 4, Kind: mem.Read})
-	// Demand to the same line while the fill is outstanding merges into
-	// the MSHR instead of re-fetching.
+	// Demand to the same line while the fill is outstanding hits the line
+	// installed at miss time and waits for its fill instead of
+	// re-fetching.
 	before := next.Count
 	d2 := c.Access(10, mem.Req{Addr: 4, Bytes: 4, Kind: mem.Read})
 	if next.Count != before {

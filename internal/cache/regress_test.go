@@ -140,3 +140,35 @@ func TestNoAliasingAcross32BitLines(t *testing.T) {
 		t.Errorf("writebacks to %#x, %#x; want %#x, %#x", wbs[0], wbs[1], mem.LineAddr(lo, 64), mem.LineAddr(hi, 64))
 	}
 }
+
+// TestRereadOfEvictedLineRefetches: MSHR entries expire lazily, so an
+// entry whose fill had long delivered could still name its line after
+// the line was evicted. A later read of that line used to "merge" into
+// the dead fill: it completed at probe latency and was never
+// reinstalled. A line that left the array must miss and come back.
+func TestRereadOfEvictedLineRefetches(t *testing.T) {
+	next := &mem.FixedPort{Latency: 10}
+	c := New(hybridCfg(), next) // 4 sets, 2 MSHRs, way 0 is SRAM
+	rd := func(at int64, addr mem.Addr) int64 {
+		return c.Access(at, mem.Req{Addr: addr, Bytes: 4, Kind: mem.Read})
+	}
+	rd(0, 0x040) // set 1: takes MSHR 0
+	rd(1, 0x000) // set 0: MSHR 0 still in flight, takes MSHR 1
+	// Read-class fills steer into the SRAM way, so 0x100 evicts 0x000.
+	// Allocation expires MSHR 0 and leaves 0x000's delivered entry valid.
+	rd(1000, 0x100)
+	if c.Contains(0x000) {
+		t.Fatal("setup: 0x000 still resident")
+	}
+	fills := c.Stats().Fills
+	done := rd(2000, 0x000)
+	if c.Stats().Fills != fills+1 {
+		t.Errorf("re-read of an evicted line did not miss: fills %d -> %d", fills, c.Stats().Fills)
+	}
+	if !c.Contains(0x000) {
+		t.Error("re-read of an evicted line did not reinstall it")
+	}
+	if min := int64(2000 + 4 + 10); done < min {
+		t.Errorf("re-read done at %d, before a refetch could deliver (%d)", done, min)
+	}
+}

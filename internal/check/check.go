@@ -90,8 +90,8 @@ func (p *Port) Name() string { return p.name }
 // verifies the invariants on the observed outcome.
 func (p *Port) Access(now int64, req mem.Req) int64 {
 	if p.shadow != nil {
-		// MSHR occupancy before the access decides whether it merges
-		// into an in-flight fill or allocates.
+		// MSHR occupancy before the access decides whether a prefetch
+		// is dropped and whether the access allocated an entry.
 		p.shadow.snapshotPre()
 	}
 	done := p.inner.Access(now, req)

@@ -140,35 +140,21 @@ func (s *shadowCache) stepOne(p *Port, now int64, req mem.Req, done int64, secon
 			break
 		}
 	}
-	// Did this half merge into an in-flight fill? For the leading half
-	// the pre-access snapshot answers exactly. The trailing half of a
-	// split runs against MSHR state the leading half may have changed,
-	// which we cannot observe — but the halves are different lines, so
-	// the leading half can only EXPIRE an entry for this line, never
-	// create one, and a fresh re-allocation always carries a strictly
-	// later ready. Hence: merged iff the same (line, ready) entry exists
-	// both before the access and after it.
-	merged := false
+	// Did an entry already name this line before the access? A valid
+	// entry names a resident line (the cache un-names it when the line
+	// leaves), so only a hit can find one; a miss allocates afresh.
+	pending := false
 	for _, m := range s.pre {
 		if m.Valid && m.LineAddr == lineAddr {
-			if !secondHalf {
-				merged = true
-				break
-			}
-			for _, q := range s.post {
-				if q.Valid && q.LineAddr == lineAddr && q.Ready == m.Ready {
-					merged = true
-					break
-				}
-			}
+			pending = true
 			break
 		}
 	}
-	// --- Fill-supplies-data causality: nothing that consumes or merges
-	// into a line may complete before the line's fill delivers it. A
-	// fresh miss is exempt — if the line was evicted while its old fill
-	// was in flight, a re-miss re-fetches and owes nothing to that fill.
-	if req.Kind != mem.Prefetch && (way >= 0 || merged) {
+	// --- Fill-supplies-data causality: nothing that consumes a line may
+	// complete before the line's fill delivers it. A miss is exempt —
+	// if the line was evicted while its old fill was in flight, a re-miss
+	// re-fetches and owes nothing to that fill.
+	if req.Kind != mem.Prefetch && way >= 0 {
 		if r, ok := s.dataReady[lineAddr]; ok {
 			if r > now && done < r {
 				p.record(now, req, fmt.Sprintf("causality: completes at %d but the line's fill arrives at %d", done, r))
@@ -189,7 +175,6 @@ func (s *shadowCache) stepOne(p *Port, now int64, req mem.Req, done int64, secon
 		if s.wayActive != nil {
 			s.wayActive[way]++
 		}
-	case merged: // MSHR merge: the original miss owns the install
 	case req.Kind == mem.Prefetch && s.prefetchDropped(now, lineAddr, secondHalf):
 		// A software prefetch with no MSHR slot free at its own
 		// timestamp is dropped: no install, no allocation.
@@ -241,7 +226,7 @@ func (s *shadowCache) stepOne(p *Port, now int64, req mem.Req, done int64, secon
 			}
 			s.dataReady[lineAddr] = r
 		}
-	} else if live >= 0 && !merged {
+	} else if live >= 0 && !pending {
 		// The line was resident with no fill in flight; a new entry for
 		// it means the miss path ran against a present line.
 		p.record(now, req, fmt.Sprintf("MSHR: line %#x allocated while resident", lineAddr))
@@ -274,7 +259,7 @@ func (s *shadowCache) victimIn(ways []shadowLine, lo, hi int) int {
 	return best
 }
 
-// prefetchDropped decides whether a missing, un-merged prefetch was
+// prefetchDropped decides whether a missing prefetch was
 // dropped for want of an MSHR. For the leading half the pre-access
 // snapshot answers exactly (mirroring Cache.mshrFreeAt). The trailing
 // half of a split runs against MSHR state the leading half may have

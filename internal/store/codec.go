@@ -26,8 +26,9 @@ import (
 // counter changes — a timing-model fix, a new RunResult field the energy
 // model reads, a codec change, a change to what the key covers. Version
 // 2 keys on the functional digest instead of the trace bytes; version 3
-// resets the IL1 front end between warm-up and measured pass.
-const SchemaVersion = 3
+// resets the IL1 front end between warm-up and measured pass; version 4
+// stops tag misses from merging into the MSHR of an evicted line.
+const SchemaVersion = 4
 
 // recordMagic frames a record on disk. The trailing digit tracks the
 // framing only; record semantics are versioned by SchemaVersion.
