@@ -313,7 +313,7 @@ func storeFlag(fs *flag.FlagSet) func() (*store.Store, error) {
 // with an attached store.
 func reportStore(suite *experiments.Suite, st *store.Store) {
 	if st != nil {
-		fmt.Fprintf(os.Stderr, "store: %s, %d capture(s)\n", suite.StoreStats(), suite.Captures())
+		fmt.Fprintf(os.Stderr, "store: %s, %d capture(s), %d warm-up(s)\n", suite.StoreStats(), suite.Captures(), suite.WarmUps())
 	}
 }
 

@@ -202,6 +202,13 @@ type Cache struct {
 	PrefetchDrops uint64
 	// Way-shutdown visibility counters.
 	WayShutdowns, WayWakeups, WayFlushWBs uint64
+	// Witness counts functional decisions that read a cycle clock: the
+	// MSHR check of a missing prefetch and every way-shutdown boundary
+	// check. While it stays 0, the cache's contents are a function of
+	// its access sequence alone (DESIGN.md §7.9). Unlike the counters
+	// above it survives ResetTiming: it describes the pass that built
+	// the contents a timing reset keeps.
+	Witness uint64
 	// wayOffCycles accumulates gated way-cycles of completed gating
 	// episodes; OffCyclesAt adds the still-open ones.
 	wayOffCycles int64
@@ -373,8 +380,10 @@ func (c *Cache) missClocks() (clocks []int64, lat, ival int64) {
 }
 
 // mshrFreeAt reports whether an MSHR entry is (or will be) free at
-// cycle at, without mutating the file.
+// cycle at, without mutating the file. The answer reads fill clocks,
+// so every call counts in Witness.
 func (c *Cache) mshrFreeAt(at int64) bool {
+	c.Witness++
 	for i := range c.mshrs {
 		if !c.mshrs[i].valid || c.mshrs[i].ready <= at {
 			return true
@@ -559,11 +568,13 @@ func (c *Cache) accessOne(now int64, req mem.Req) int64 {
 }
 
 // advanceShutdown processes the most recent shutdown-interval boundary
-// at or before now, if it has not been processed yet. Request
+// at or before now, if it has not been processed yet. Whether a
+// boundary has passed depends on now, so every call counts in Witness. Request
 // timestamps are not globally monotone (the store drain runs ahead of
 // loads), so the high-water mark only ever moves forward; a span with
 // no accesses is treated as one long interval.
 func (c *Cache) advanceShutdown(now int64) {
+	c.Witness++
 	iv := c.cfg.ShutdownInterval
 	b := now - now%iv
 	if b <= c.gateHW {
@@ -1055,45 +1066,30 @@ func (c *Cache) ResetTiming() {
 	c.wayOffCycles = 0
 }
 
-// Reset clears all state and counters.
+// CopyWarm copies src's persistent state — set contents, the use clock
+// and the gated ways — into c. Both must share one geometry and be just
+// past ResetTiming, so every clock, MSHR and write-buffer slot is
+// already zero on both sides (DESIGN.md §7.9).
+func (c *Cache) CopyWarm(src *Cache) {
+	for i := range c.sets {
+		copy(c.sets[i], src.sets[i])
+	}
+	c.useClock = src.useClock
+	copy(c.gated, src.gated)
+}
+
+// Reset clears all state and counters: a timing reset plus the
+// contents, the use clock, the gated ways and the witness.
 func (c *Cache) Reset() {
+	c.ResetTiming()
 	for _, set := range c.sets {
 		for w := range set {
 			set[w] = line{}
 		}
 	}
-	for i := range c.bankFree {
-		c.bankFree[i] = 0
-	}
-	for i := range c.sramFree {
-		c.sramFree[i] = 0
-	}
-	if c.gated != nil {
-		for i := range c.gated {
-			c.gated[i] = false
-			c.gateStart[i] = 0
-			c.wayActive[i] = 0
-		}
-		c.gatePressure = 0
-		c.gateHW = 0
-	}
-	for i := range c.mshrs {
-		c.mshrs[i] = mshr{}
-	}
-	for i := range c.wbuf {
-		c.wbuf[i] = wbEntry{}
+	for i := range c.gated {
+		c.gated[i] = false
 	}
 	c.useClock = 0
-	c.stats = mem.Stats{}
-	c.BankConflictCycles = 0
-	c.ConflictByKind = [6]int64{}
-	c.MSHRStallCycles = 0
-	c.WBStallCycles = 0
-	c.HitUnderFillCycles = 0
-	c.Evictions = 0
-	c.DirtyEvictions = 0
-	c.SRAMReads, c.SRAMWrites = 0, 0
-	c.PrefetchDrops = 0
-	c.WayShutdowns, c.WayWakeups, c.WayFlushWBs = 0, 0, 0
-	c.wayOffCycles = 0
+	c.Witness = 0
 }

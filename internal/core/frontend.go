@@ -134,6 +134,13 @@ type buffer struct {
 	// invalid-slot scan; invalidate and reset clear it (the EMSHR kills
 	// single retained lines on stores, so free slots can reappear).
 	full bool
+
+	// witness counts decisions about resident lines that read a cycle
+	// clock: a prefetch-filter window compare and a spec-protection
+	// compare in victim. While it stays 0, the buffer's contents are a
+	// function of its access sequence alone (DESIGN.md §7.9). It
+	// survives resetTiming, like the contents it vouches for.
+	witness uint64
 }
 
 type pfEntry struct {
@@ -165,8 +172,11 @@ func newBuffer(sizeBits, lineSize int) buffer {
 // (i.e., the prefetch should be dropped).
 func (b *buffer) prefetchFiltered(now int64, lineAddr mem.Addr) bool {
 	for _, e := range b.pfRecent {
-		if e.valid && e.lineAddr == lineAddr && now-e.at < pfWindow {
-			return true
+		if e.valid && e.lineAddr == lineAddr {
+			b.witness++
+			if now-e.at < pfWindow {
+				return true
+			}
 		}
 	}
 	b.pfRecent[b.pfHead] = pfEntry{lineAddr: lineAddr, at: now, valid: true}
@@ -212,8 +222,11 @@ func (b *buffer) victim(now int64) *entry {
 	var best *entry
 	for i := range b.entries {
 		e := &b.entries[i]
-		if e.spec && now < e.ready+specProtect {
-			continue // freshly prefetched: protected
+		if e.spec {
+			b.witness++
+			if now < e.ready+specProtect {
+				continue // freshly prefetched: protected
+			}
 		}
 		if best == nil || e.lastUse < best.lastUse {
 			best = e
@@ -268,6 +281,7 @@ func (b *buffer) reset() {
 	b.fifoNext = 0
 	b.lastHit = 0
 	b.full = false
+	b.witness = 0
 }
 
 // lines returns the number of entries (for tests).

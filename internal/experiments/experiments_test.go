@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"sttdl1/internal/dse"
 	"sttdl1/internal/polybench"
 	"sttdl1/internal/stats"
 )
@@ -360,5 +361,30 @@ func TestAblationInterchangeImproves(t *testing.T) {
 	ext := seriesByLabel(t, f, "+ loop interchange")[0]
 	if ext >= paper {
 		t.Errorf("interchange must reduce mvt's penalty: %.1f -> %.1f", paper, ext)
+	}
+}
+
+// TestColdSliceWarmUps: perfbench's sweep-cold slice of the proposal
+// space (reads at 2 and 6 cycles, one write latency) is 80 points plus
+// the SRAM reference. Banks and read latency only move clocks, so the
+// points form 10 warm groups of 8 (front end × buffer rows) and each
+// kernel runs 11 warm-ups instead of 81 (DESIGN.md §7.9).
+func TestColdSliceWarmUps(t *testing.T) {
+	sp, err := dse.Restrict(dse.Proposal(), map[string][]string{
+		"read-latency":  {"read=2cy", "read=6cy"},
+		"write-latency": {"write=1cy"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fastSuite(t)
+	if _, err := dse.Evaluate(s, s.Benches, sp); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := s.SimsRun(), 81*len(s.Benches); got != want {
+		t.Fatalf("%d simulations, want %d", got, want)
+	}
+	if got, want := s.WarmUps(), 11*len(s.Benches); got != want {
+		t.Errorf("%d warm-ups over %d kernels, want %d", got, len(s.Benches), want)
 	}
 }

@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -117,6 +118,11 @@ func (s *Suite) StoreStats() store.Stats {
 // performed. A sweep served entirely from the persistent store performs
 // none: its keys come from compiles alone.
 func (s *Suite) Captures() int { return s.traces.Captures() }
+
+// WarmUps returns how many warm-up passes the suite's simulations have
+// run. A warm group shares one (DESIGN.md §7.9), so a sweep over
+// timing-only variants runs fewer warm-ups than simulations.
+func (s *Suite) WarmUps() int { return s.traces.WarmUps() }
 
 // storeKey derives the content address of (b, cfg) under the persistent
 // store: the kernel variant's functional digest (memoized compile,
@@ -364,24 +370,30 @@ type gangMember struct {
 
 // PrefetchSpecs fans an explicit batch out over the worker pool. Specs
 // are deduplicated by run key, already-memoized (or in-flight) keys are
-// dropped, and the rest are grouped by the trace they replay (same
-// benchmark, problem size and compile options) and chunked into gang
-// replays of the benchmark's gang width (DESIGN.md §7.9). Each batch
-// runs as one pool task keyed by its first member and walks the trace
-// once for all of its configurations; the other members' results are
-// published into the memo as the batch completes, so the engine's
-// accounting still sees exactly one completion per unique simulation.
-// Singleton batches take the ordinary serial path. Tasks are submitted
-// in sorted key order so the engine's schedule — and therefore its
-// progress stream — is reproducible run to run.
+// dropped, and the rest are grouped by warm group: the trace they
+// replay (same benchmark, problem size and compile options) and their
+// sim.WarmKey, so a group differs only in timing-only fields. Each
+// group of two or more runs as one pool task keyed by its first member
+// (DESIGN.md §7.9): one warm-up for the whole group where the
+// representative's witness proves sharing exact, then the measured
+// passes ganged in walks of the benchmark's gang width. The other
+// members' results are published into the memo as the task completes,
+// so the engine's accounting still sees exactly one completion per
+// unique simulation. Singleton groups take the ordinary serial path.
+// Tasks are submitted in sorted key order so the engine's schedule —
+// and therefore its progress stream — is reproducible run to run.
 func (s *Suite) PrefetchSpecs(specs []Spec) error {
 	seen := make(map[string]bool, len(specs))
+	type groupKey struct {
+		bench string
+		warm  sim.Config
+	}
 	type group struct {
 		bench   polybench.Bench
 		members []gangMember
 	}
-	groups := make(map[string]*group)
-	var order []string
+	groups := make(map[groupKey]*group)
+	var order []groupKey
 	for _, sp := range specs {
 		cfg := s.applyCheck(sp.Config)
 		key := runKey(sp.Bench, cfg)
@@ -392,7 +404,9 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 		if _, done, inflight := s.pool.Peek(key); done || inflight {
 			continue
 		}
-		gk := sp.Bench.Name + "@" + strconv.Itoa(sp.Bench.Default) + "|" + optKey(sim.CompileOptions(cfg))
+		// The warm key includes the compile options, so the bench and
+		// its problem size complete the trace identity.
+		gk := groupKey{sp.Bench.Name + "@" + strconv.Itoa(sp.Bench.Default), sim.WarmKey(cfg)}
 		g := groups[gk]
 		if g == nil {
 			g = &group{bench: sp.Bench}
@@ -401,59 +415,42 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 		}
 		g.members = append(g.members, gangMember{key: key, label: runLabel(sp.Bench, cfg), cfg: cfg})
 	}
-	sort.Strings(order)
 
-	var tasks []runner.Task[string, *sim.RunResult]
+	tasks := make([]runner.Task[string, *sim.RunResult], 0, len(order))
 	for _, gk := range order {
 		g := groups[gk]
-		// Members in sorted key order: batch composition is then a pure
+		// Members in sorted key order: the representative is then a pure
 		// function of the spec set, never of map iteration or submission
 		// order.
 		sort.Slice(g.members, func(i, j int) bool { return g.members[i].key < g.members[j].key })
-		width := gangWidthFor(g.bench)
-		for lo := 0; lo < len(g.members); lo += width {
-			hi := lo + width
-			if hi > len(g.members) {
-				hi = len(g.members)
-			}
-			batch := g.members[lo:hi]
-			bench := g.bench
-			leader := batch[0]
-			if len(batch) == 1 {
-				tasks = append(tasks, runner.Task[string, *sim.RunResult]{
-					Key:   leader.key,
-					Label: leader.label,
-					Run: func(ctx context.Context) (*sim.RunResult, error) {
-						r, cached, err := s.execute(ctx, bench, leader.cfg)
-						if cached {
-							s.pool.NoteCached(leader.key)
-						}
-						return r, err
-					},
-				})
-				continue
-			}
-			tasks = append(tasks, runner.Task[string, *sim.RunResult]{
-				Key:   leader.key,
-				Label: leader.label,
-				Run: func(ctx context.Context) (*sim.RunResult, error) {
-					return s.executeGang(ctx, bench, batch)
-				},
-			})
+		bench, members, leader := g.bench, g.members, g.members[0]
+		run := func(ctx context.Context) (*sim.RunResult, error) {
+			return s.executeGang(ctx, bench, members)
 		}
+		if len(members) == 1 {
+			run = func(ctx context.Context) (*sim.RunResult, error) {
+				r, cached, err := s.execute(ctx, bench, leader.cfg)
+				if cached {
+					s.pool.NoteCached(leader.key)
+				}
+				return r, err
+			}
+		}
+		tasks = append(tasks, runner.Task[string, *sim.RunResult]{Key: leader.key, Label: leader.label, Run: run})
 	}
-	sort.SliceStable(tasks, func(i, j int) bool { return tasks[i].Key < tasks[j].Key })
+	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Key < tasks[j].Key })
 	if _, err := s.pool.Run(s.ctx, tasks); err != nil {
 		return fmt.Errorf("experiments: prefetch: %w", err)
 	}
 	return nil
 }
 
-// executeGang runs one gang batch under the leader's worker slot: the
-// persistent store tier first per member, one gang replay for the
-// misses, then a serial per-member fallback if the gang path fails.
-// Members beyond the leader are published into the memo; the leader's
-// result is returned as the task's value.
+// executeGang runs one warm group under the leader's worker slot: the
+// persistent store tier first per member, one group replay for the
+// misses (shared warm-up, measured passes ganged at the benchmark's
+// gang width), then a serial per-member fallback if the group path
+// fails. Members beyond the leader are published into the memo; the
+// leader's result is returned as the task's value.
 func (s *Suite) executeGang(ctx context.Context, b polybench.Bench, members []gangMember) (*sim.RunResult, error) {
 	results := make([]*sim.RunResult, len(members))
 	cached := make([]bool, len(members))
@@ -474,7 +471,7 @@ func (s *Suite) executeGang(ctx context.Context, b polybench.Bench, members []ga
 		for j, i := range miss {
 			cfgs[j] = members[i].cfg
 		}
-		rs, err := replay.RunGang(ctx, s.traces, b, cfgs)
+		rs, err := replay.RunGang(ctx, s.traces, b, cfgs, gangWidthFor(b))
 		switch {
 		case err == nil:
 			for j, i := range miss {
@@ -489,8 +486,12 @@ func (s *Suite) executeGang(ctx context.Context, b polybench.Bench, members []ga
 			}
 		case ctx.Err() != nil:
 			return nil, ctx.Err()
+		case errors.Is(err, sim.ErrWarmState):
+			// A checked group whose members disagree after their own
+			// warm-ups: serial replays would hide it, so it fails the run.
+			return nil, err
 		default:
-			// Gang path failed (e.g. a functional fault, an instruction
+			// Group path failed (e.g. a functional fault, an instruction
 			// budget overrun, an assembly error): fall back to the serial
 			// per-member path, which reproduces the canonical error for the
 			// failing member while the healthy members still complete.

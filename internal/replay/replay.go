@@ -51,6 +51,9 @@ type Cache struct {
 	compiles *runner.Pool[string, variant]
 	traces   *runner.Pool[string, *cpu.Trace]
 	captures atomic.Int64
+	// warmUps counts the warm-up passes of the replays run through the
+	// cache (a member that copied its warm group's state ran none).
+	warmUps atomic.Int64
 }
 
 // NewCache builds an empty trace cache. Compiles and captures fan out
@@ -114,6 +117,10 @@ func (c *Cache) Digest(ctx context.Context, b polybench.Bench, opts compile.Opti
 // Captures returns how many functional captures the cache has
 // performed (memoized and deduplicated requests not counted).
 func (c *Cache) Captures() int { return int(c.captures.Load()) }
+
+// WarmUps returns how many warm-up passes the replays run through the
+// cache have performed.
+func (c *Cache) WarmUps() int { return int(c.warmUps.Load()) }
 
 // variant is the shared memoized compile + functional digest.
 func (c *Cache) variant(ctx context.Context, k string, b polybench.Bench, opts compile.Options) (variant, error) {
@@ -180,6 +187,7 @@ func Run(ctx context.Context, c *Cache, b polybench.Bench, cfg sim.Config) (*sim
 	if err != nil {
 		return nil, err
 	}
+	defer func() { c.warmUps.Add(int64(sys.WarmUps())) }()
 	if ctl := cancelCtl(ctx, nil); ctl != nil {
 		r, _, err := sys.ReplayCompiledCtl(ck, tr, ctl)
 		return r, err
@@ -205,14 +213,16 @@ func cancelCtl(ctx context.Context, ctl *sim.ReplayCtl) *sim.ReplayCtl {
 	return &out
 }
 
-// RunGang executes bench b under a batch of configurations in one trace
-// walk (sim.ReplayGang): the memoized compile + capture once, one fresh
-// system per configuration, then gang replay. Results are in cfgs order
-// and each is byte-identical to Run of the same (b, cfg). All
-// configurations must share CompileOptions — they would not share a
-// trace otherwise — and a mismatch is an error, not a silent split.
-// Like Run, a cancellable ctx is probed inside the shared walk.
-func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config) ([]*sim.RunResult, error) {
+// RunGang executes bench b under a batch of configurations with shared
+// warm-ups and ganged passes (sim.ReplayGroup, trace walks of at most
+// width members; width <= 0 means one walk per pass): the memoized
+// compile + capture once, one fresh system per configuration, then the
+// group replay. Results are in cfgs order and each is byte-identical to
+// Run of the same (b, cfg). All configurations must share
+// CompileOptions — they would not share a trace otherwise — and a
+// mismatch is an error, not a silent split. Like Run, a cancellable ctx
+// is probed inside every walk.
+func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config, width int) ([]*sim.RunResult, error) {
 	if len(cfgs) == 0 {
 		return nil, nil
 	}
@@ -238,7 +248,12 @@ func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config
 	if ctx.Done() != nil {
 		interrupt = func() error { return ctx.Err() }
 	}
-	return sim.ReplayGang(systems, ck, tr, interrupt, 0)
+	defer func() {
+		for _, sys := range systems {
+			c.warmUps.Add(int64(sys.WarmUps()))
+		}
+	}()
+	return sim.ReplayGroup(systems, width, ck, tr, interrupt, 0)
 }
 
 // RunCtl is Run with partial-replay control (truncation and early abort,
@@ -254,5 +269,6 @@ func RunCtl(ctx context.Context, c *Cache, b polybench.Bench, cfg sim.Config, ct
 	if err != nil {
 		return nil, false, err
 	}
+	defer func() { c.warmUps.Add(int64(sys.WarmUps())) }()
 	return sys.ReplayCompiledCtl(ck, tr, cancelCtl(ctx, ctl))
 }

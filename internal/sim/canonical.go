@@ -67,6 +67,23 @@ func Canonical(cfg Config) Config {
 	return cfg
 }
 
+// WarmKey names cfg's warm group: Canonical(cfg) with the fields that
+// only move clocks zeroed. Configurations with one warm key send the
+// hierarchy the same access sequence in the same order, so their
+// post-warm-up contents can differ only through a functional decision
+// that reads a clock — which System.Witness counts (DESIGN.md §7.9).
+// The list names the fields to zero, not the fields to keep, so a field
+// added later splits warm groups until it is shown to be timing-only.
+func WarmKey(cfg Config) Config {
+	k := Canonical(cfg)
+	k.DL1ReadLat = 0        // when a DL1 read completes, never which line it touches
+	k.DL1WriteLat = 0       // when a DL1 write completes, never which line it touches
+	k.DL1Banks = 0          // which bank clock an access waits on; the line's set ignores banks
+	k.VWBTransfer = 0       // when a promoted VWB row becomes readable, not which row it is
+	k.CPU.StoreBufDepth = 0 // when a store issues; stores still reach the DL1 in program order
+	return k
+}
+
 // CanonicalKey renders Canonical(cfg) as one deterministic string
 // covering every design field the simulator reads, with the Check flag
 // appended separately (checked runs produce identical counters but the

@@ -6,7 +6,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"sttdl1/internal/cache"
 	"sttdl1/internal/check"
@@ -191,6 +193,9 @@ type System struct {
 	// checks holds the timing-oracle wrappers when Cfg.Check is set
 	// (empty otherwise); runOnce turns their violations into an error.
 	checks []*check.Port
+
+	// warmUps counts the warm-up passes this system ran itself.
+	warmUps int
 }
 
 // New assembles a platform.
@@ -367,6 +372,7 @@ func (s *System) CheckErr() error {
 // measured pass. The data segment is re-initialized for each pass.
 func (s *System) RunCompiled(ck *compile.Compiled) (*RunResult, error) {
 	if !s.Cfg.ColdStart {
+		s.warmUps++
 		if _, err := s.runOnce(ck); err != nil {
 			return nil, err
 		}
@@ -445,12 +451,24 @@ func CaptureTrace(ck *compile.Compiled) (*cpu.Trace, error) {
 // same kernel and configuration.
 func (s *System) ReplayCompiled(ck *compile.Compiled, tr *cpu.Trace) (*RunResult, error) {
 	if !s.Cfg.ColdStart {
-		if _, err := s.replayOnce(ck, tr); err != nil {
+		if err := s.WarmUp(ck, tr); err != nil {
 			return nil, err
 		}
-		s.ResetTiming()
 	}
 	return s.replayOnce(ck, tr)
+}
+
+// WarmUp replays the warm-up pass over the trace and resets timing,
+// leaving the contents a measured pass starts from. Witness then tells
+// whether those contents are shared by every configuration with the
+// same WarmKey (DESIGN.md §7.9).
+func (s *System) WarmUp(ck *compile.Compiled, tr *cpu.Trace) error {
+	s.warmUps++
+	if _, err := s.replayOnce(ck, tr); err != nil {
+		return err
+	}
+	s.ResetTiming()
+	return nil
 }
 
 // replayOnce replays one timing pass over the trace.
@@ -479,6 +497,7 @@ func (s *System) ReplayCompiledCtl(ck *compile.Compiled, tr *cpu.Trace, ctl *Rep
 			wc.Abort, wc.CheckEvery = nil, 0
 			warmCtl = &wc
 		}
+		s.warmUps++
 		if _, _, err := s.replayOnceCtl(ck, tr, warmCtl); err != nil {
 			return nil, false, err
 		}
@@ -499,44 +518,46 @@ func (s *System) replayOnceCtl(ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayC
 	return s.assemble(ck.Prog.Name, res), aborted, nil
 }
 
-// ReplayGang is ReplayCompiled for a batch of systems in one trace walk
-// (cpu.ReplayTraceGang): the warm-up pass runs ganged over the members
-// that warm up (ColdStart members skip it, exactly as in their serial
-// replay), timing is reset, and the measured pass runs ganged over the
-// whole batch. Every member's RunResult is byte-identical to its own
-// ReplayCompiled of the same ck/tr — all systems must therefore have
-// been assembled for configurations sharing CompileOptions, so ck and
-// tr are valid for each. interrupt/intrEvery are ReplayCtl.Interrupt
-// semantics applied to the shared walk; there is no per-member
-// truncation or abort (callers needing those replay serially).
+// ReplayGang is ReplayGroup with every pass one trace walk over the
+// whole batch.
 func ReplayGang(systems []*System, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) ([]*RunResult, error) {
+	return ReplayGroup(systems, 0, ck, tr, interrupt, intrEvery)
+}
+
+// ReplayGroup is ReplayCompiled for a batch of systems that replay one
+// trace, with warm-ups shared across timing-only variants (DESIGN.md
+// §7.9):
+//
+//   - Members with equal WarmKey form a warm group. Only its first
+//     member, the representative, runs the warm-up. If the
+//     representative's Witness is 0 at the end of it, every other
+//     member copies its post-warm-up state; otherwise each runs its
+//     own warm-up. ColdStart members skip the warm-up.
+//   - Under Check, sharing is verified instead of used: every member
+//     runs its own warm-up, and one whose representative ended at
+//     Witness 0 must end in the representative's state, field by
+//     field, or the replay fails naming the field.
+//   - Each pass — warm-ups and the measured pass — is ganged
+//     (cpu.ReplayTraceGang) in walks of at most width members
+//     (width <= 0: one walk).
+//
+// Every member's RunResult is byte-identical to its own ReplayCompiled
+// of the same ck/tr — all systems must therefore be freshly assembled,
+// for configurations sharing CompileOptions. interrupt/intrEvery are
+// ReplayCtl.Interrupt semantics applied to every walk; there is no
+// per-member truncation or abort (callers needing those replay
+// serially).
+func ReplayGroup(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) ([]*RunResult, error) {
 	if len(systems) == 0 {
 		return nil, nil
 	}
-	var warm []*System
-	var warmCPUs []*cpu.CPU
-	for _, s := range systems {
-		if !s.Cfg.ColdStart {
-			warm = append(warm, s)
-			warmCPUs = append(warmCPUs, s.CPU)
-		}
+	if width <= 0 {
+		width = len(systems)
 	}
-	if len(warm) > 0 {
-		if _, err := cpu.ReplayTraceGang(ck.Prog, tr, warmCPUs, interrupt, intrEvery); err != nil {
-			return nil, fmt.Errorf("sim: gang warm-up of %s: %w", ck.Prog.Name, err)
-		}
-		for _, s := range warm {
-			if err := s.CheckErr(); err != nil {
-				return nil, fmt.Errorf("sim: %s on %s: %w", ck.Prog.Name, s.Cfg.Name, err)
-			}
-			s.ResetTiming()
-		}
+	if err := warmGroups(systems, width, ck, tr, interrupt, intrEvery); err != nil {
+		return nil, err
 	}
-	cpus := make([]*cpu.CPU, len(systems))
-	for i, s := range systems {
-		cpus[i] = s.CPU
-	}
-	rs, err := cpu.ReplayTraceGang(ck.Prog, tr, cpus, interrupt, intrEvery)
+	rs, err := gangPass(systems, width, ck, tr, interrupt, intrEvery)
 	if err != nil {
 		return nil, fmt.Errorf("sim: gang replay of %s: %w", ck.Prog.Name, err)
 	}
@@ -548,6 +569,180 @@ func ReplayGang(systems []*System, ck *compile.Compiled, tr *cpu.Trace, interrup
 		out[i] = s.assemble(ck.Prog.Name, rs[i])
 	}
 	return out, nil
+}
+
+// ErrWarmState marks a checked group replay in which a member's own
+// warm-up ended in a different state from its representative's although
+// the representative's Witness was 0: a clock-reading decision the
+// witness does not count (DESIGN.md §7.9).
+var ErrWarmState = errors.New("warm-up state differs from the warm group's representative")
+
+// warmGroups brings every member that is not ColdStart to its
+// post-warm-up, timing-reset state, one warm-up per warm group where
+// the representative's Witness proves sharing exact (see ReplayGroup).
+func warmGroups(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) error {
+	type group struct {
+		rep  *System
+		rest []*System
+	}
+	var groups []*group
+	byKey := make(map[Config]*group)
+	var own []*System // members warming up in the first round
+	for _, s := range systems {
+		if s.Cfg.ColdStart {
+			continue
+		}
+		k := WarmKey(s.Cfg)
+		g := byKey[k]
+		if g == nil {
+			g = &group{rep: s}
+			byKey[k] = g
+			groups = append(groups, g)
+			own = append(own, s)
+			continue
+		}
+		g.rest = append(g.rest, s)
+		if s.Cfg.Check {
+			own = append(own, s)
+		}
+	}
+	if err := warmPass(own, width, ck, tr, interrupt, intrEvery); err != nil {
+		return err
+	}
+
+	var late []*System // members of groups whose representative read a clock
+	for _, g := range groups {
+		shared := g.rep.Witness() == 0
+		for _, s := range g.rest {
+			switch {
+			case !s.Cfg.Check && shared:
+				s.copyWarm(g.rep)
+			case !s.Cfg.Check:
+				late = append(late, s)
+			case shared: // checked members warmed up themselves: verify
+				if err := s.WarmDiff(g.rep); err != nil {
+					return fmt.Errorf("sim: %s on %s: %w %s: %v", ck.Prog.Name, s.Cfg.Name, ErrWarmState, g.rep.Cfg.Name, err)
+				}
+			}
+		}
+	}
+	return warmPass(late, width, ck, tr, interrupt, intrEvery)
+}
+
+// warmPass runs the warm-up pass of systems, ganged in walks of at most
+// width members, audits each under the oracle and resets its timing.
+func warmPass(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) error {
+	if len(systems) == 0 {
+		return nil
+	}
+	if _, err := gangPass(systems, width, ck, tr, interrupt, intrEvery); err != nil {
+		return fmt.Errorf("sim: gang warm-up of %s: %w", ck.Prog.Name, err)
+	}
+	for _, s := range systems {
+		s.warmUps++
+		if err := s.CheckErr(); err != nil {
+			return fmt.Errorf("sim: %s on %s: %w", ck.Prog.Name, s.Cfg.Name, err)
+		}
+		s.ResetTiming()
+	}
+	return nil
+}
+
+// gangPass replays one pass of every system, in trace walks of at most
+// width members, and returns the results in member order.
+func gangPass(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) ([]*cpu.Result, error) {
+	out := make([]*cpu.Result, 0, len(systems))
+	for lo := 0; lo < len(systems); lo += width {
+		batch := systems[lo:min(lo+width, len(systems))]
+		cpus := make([]*cpu.CPU, len(batch))
+		for i, s := range batch {
+			cpus[i] = s.CPU
+		}
+		rs, err := cpu.ReplayTraceGang(ck.Prog, tr, cpus, interrupt, intrEvery)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rs...)
+	}
+	return out, nil
+}
+
+// Witness sums the hierarchy's clock-reading functional decisions since
+// the system was built (cache.Cache.Witness, core.Witness); timing
+// resets keep it. A warm-up that ends at 0 changed every cache and
+// buffer as a function of its access sequence alone; every
+// configuration with the same WarmKey sends that same sequence, so by
+// induction over it each one ends the warm-up in the same state
+// (DESIGN.md §7.9).
+func (s *System) Witness() uint64 {
+	w := s.IL1.Witness + s.DL1.Witness + s.L2.Witness + core.Witness(s.FE)
+	if s.il1FE != nil {
+		w += core.Witness(s.il1FE)
+	}
+	return w
+}
+
+// WarmUps reports how many warm-up passes the system has run itself; a
+// member that copied its warm group's state (ReplayGroup) ran none.
+func (s *System) WarmUps() int { return s.warmUps }
+
+// copyWarm copies rep's persistent state into s, a fresh system of the
+// same warm group, once rep has finished its warm-up and timing reset:
+// the contents of every cache and front end (cache.Cache.CopyWarm,
+// core.CopyWarm). Every clock of both is zero at that point.
+func (s *System) copyWarm(rep *System) {
+	s.IL1.CopyWarm(rep.IL1)
+	s.DL1.CopyWarm(rep.DL1)
+	s.L2.CopyWarm(rep.L2)
+	core.CopyWarm(s.FE, rep.FE)
+	if s.il1FE != nil {
+		core.CopyWarm(s.il1FE, rep.il1FE)
+	}
+}
+
+// WarmDiff compares s's persistent state — what a timing reset keeps
+// and copyWarm copies — with rep's, field by field, and names the first
+// difference (nil when there is none). Both must be of one warm group.
+func (s *System) WarmDiff(rep *System) error {
+	for _, c := range []struct {
+		name   string
+		c, rep *cache.Cache
+	}{{"IL1", s.IL1, rep.IL1}, {"DL1", s.DL1, rep.DL1}, {"L2", s.L2, rep.L2}} {
+		if d := cacheDiff(c.c, c.rep); d != "" {
+			return fmt.Errorf("%s %s", c.name, d)
+		}
+	}
+	if d := core.WarmDiff(s.FE, rep.FE); d != "" {
+		return fmt.Errorf("front end %s %s", s.FE.Name(), d)
+	}
+	if s.il1FE != nil {
+		if d := core.WarmDiff(s.il1FE, rep.il1FE); d != "" {
+			return fmt.Errorf("IL1 front end %s", d)
+		}
+	}
+	return nil
+}
+
+// cacheDiff names the first difference in a cache's persistent state:
+// the use clock, the gated ways, then every set way by way.
+func cacheDiff(c, rep *cache.Cache) string {
+	if c.UseClock() != rep.UseClock() {
+		return fmt.Sprintf("useClock %d, representative has %d", c.UseClock(), rep.UseClock())
+	}
+	if g, r := c.GatedWays(), rep.GatedWays(); !slices.Equal(g, r) {
+		return fmt.Sprintf("gated ways %v, representative has %v", g, r)
+	}
+	cfg := c.Config()
+	var a, b []cache.LineView
+	for set := 0; set < cfg.Sets(); set++ {
+		a, b = c.AppendSetView(a[:0], set), rep.AppendSetView(b[:0], set)
+		for w := range a {
+			if a[w] != b[w] {
+				return fmt.Sprintf("set %d way %d: %+v, representative has %+v", set, w, a[w], b[w])
+			}
+		}
+	}
+	return ""
 }
 
 // CompileOptions is the configuration's compile options with the

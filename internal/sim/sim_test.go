@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"sttdl1/internal/compile"
 	"sttdl1/internal/core"
+	"sttdl1/internal/cpu"
 	"sttdl1/internal/ir"
 	"sttdl1/internal/polybench"
 	"sttdl1/internal/tech"
@@ -312,5 +314,54 @@ func TestFullSystemFunctionalCorrectness(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWarmKeyZeroesTimingFieldsOnly: the timing-only fields fold into
+// one warm group, while a functional field (here the front end's buffer
+// size) still splits it.
+func TestWarmKeyZeroesTimingFieldsOnly(t *testing.T) {
+	a, b := ProposalVWB(), ProposalVWB()
+	b.DL1ReadLat, b.DL1WriteLat, b.DL1Banks, b.VWBTransfer = 9, 5, 1, 3
+	b.CPU = cpu.DefaultConfig()
+	b.CPU.StoreBufDepth = 16
+	if WarmKey(a) != WarmKey(b) {
+		t.Errorf("timing-only variants split: %+v vs %+v", WarmKey(a), WarmKey(b))
+	}
+	b.BufferBits = 4096
+	if WarmKey(a) == WarmKey(b) {
+		t.Error("a buffer-size change stayed in the warm group")
+	}
+}
+
+// TestWarmDiffNamesField: a system that skipped its warm-up differs from
+// a warmed representative, and the error names where; after copyWarm it
+// matches exactly, IL1 front end included.
+func TestWarmDiffNamesField(t *testing.T) {
+	b, _ := polybench.ByName("atax")
+	b.Default = 24
+	ck, err := compile.Compile(b.Kernel(), CompileOptions(ProposalVWB()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := CaptureTrace(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ProposalVWB()
+	cfg.IL1Cell, cfg.IL1FrontEnd = tech.STT2T2MTJ, FEEMSHR
+	rep, _ := New(cfg)
+	if err := rep.WarmUp(ck, tr); err != nil {
+		t.Fatal(err)
+	}
+	cfg.DL1ReadLat = 7
+	member, _ := New(cfg)
+	err = member.WarmDiff(rep)
+	if err == nil || !strings.Contains(err.Error(), "IL1 useClock 0, representative has") {
+		t.Fatalf("cold member vs warmed representative: %v", err)
+	}
+	member.copyWarm(rep)
+	if err := member.WarmDiff(rep); err != nil {
+		t.Errorf("after copyWarm: %v", err)
 	}
 }

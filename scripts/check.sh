@@ -50,8 +50,13 @@ go run ./cmd/sttexplore dse -check -space hybrid -bench atax,gemver >/dev/null
 store_dir=$(mktemp -d)
 trap 'rm -f "$tmp_on" "$tmp_off" "$tmp_err"; rm -rf "$store_dir"' EXIT
 go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -csv >"$tmp_on"
-go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -csv -store "$store_dir" >"$tmp_off"
+go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -csv -store "$store_dir" >"$tmp_off" 2>"$tmp_err"
 cmp "$tmp_on" "$tmp_off"
+# Warm-state sharing (DESIGN.md §7.9): banks only move clocks, so the
+# smoke space's 10 points form 5 warm groups of 2; with the SRAM
+# reference each kernel runs 6 warm-ups, not 11.
+cat "$tmp_err"
+grep -qF ', 12 warm-up(s)' "$tmp_err"
 go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -csv -store "$store_dir" >"$tmp_off" 2>"$tmp_err"
 cmp "$tmp_on" "$tmp_off"
 cat "$tmp_err"
