@@ -79,6 +79,9 @@ func timingVariant(cfg sim.Config) sim.Config {
 // own, and whenever the representative ends its warm-up with a witness
 // of 0 every member must hold exactly its persistent state.
 func TestWarmStateSharedAcrossSpaces(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine sweep over every space; it runs without the race detector in go test ./...")
+	}
 	traces := replay.NewCache()
 	ctx := context.Background()
 	type trKey struct {
