@@ -11,7 +11,7 @@ import (
 )
 
 // kernelProg is a loop that exercises every record class the replay
-// kernels time: scalar and vector loads and stores, prefetches, the
+// kernel times: scalar and vector loads and stores, prefetches, the
 // unpipelined divider, a data-dependent conditional branch the 2-bit
 // predictor partly mispredicts, and a BL/JR round trip.
 func kernelProg() *isa.Program {
@@ -38,15 +38,16 @@ func kernelProg() *isa.Program {
 }
 
 // wrapped hides a port's concrete type, the way a front-end or the
-// timing oracle does, so the kernels must call it through mem.Port.
+// timing oracle does, so the kernel must call it through mem.Port.
 type wrapped struct{ mem.Port }
 
 // kernelSystem is one fresh memory system: small IL1 and DL1 caches
-// over fixed-latency next levels, wired to the CPU in one of the port
-// shapes the replay driver distinguishes.
+// over fixed-latency next levels, the DL1 behind a Direct or a VWB
+// front end and the IL1 bare or wrapped.
 type kernelSystem struct {
-	il1, dl1   *cache.Cache
-	imem, dmem mem.Port
+	il1, dl1 *cache.Cache
+	fe       core.FrontEnd
+	imem     mem.Port
 }
 
 func newKernelSystem(wrapIL1, direct bool) *kernelSystem {
@@ -58,12 +59,14 @@ func newKernelSystem(wrapIL1, direct bool) *kernelSystem {
 		il1: cache.New(cfg, &mem.FixedPort{Latency: 20}),
 		dl1: cache.New(cfg, &mem.FixedPort{Latency: 20}),
 	}
-	s.imem, s.dmem = s.il1, s.dl1
+	s.imem = s.il1
 	if wrapIL1 {
 		s.imem = wrapped{s.il1}
 	}
 	if direct {
-		s.dmem = core.NewDirect(s.dl1)
+		s.fe = core.NewDirect(s.dl1)
+	} else {
+		s.fe = core.NewVWB(core.DefaultVWBConfig(), s.dl1)
 	}
 	return s
 }
@@ -76,10 +79,12 @@ func timingOf(r *Result) Result {
 	return t
 }
 
-// TestReplayKernelsMatchLive checks both kernels, with the IL1 bare and
-// wrapped, against live execution: every Result counter and the traffic
-// each cache saw must be identical.
-func TestReplayKernelsMatchLive(t *testing.T) {
+// TestReplayMatchesLive checks replay on both kinds of data port — a
+// Direct front end and a buffered (VWB) one — with the IL1 bare and
+// wrapped, against live execution: every Result counter, the traffic
+// each cache saw and the front end's own stats must be identical. For
+// Direct, those stats are its per-access class counts.
+func TestReplayMatchesLive(t *testing.T) {
 	prog := kernelProg()
 	tr, err := Capture(prog, NewState(prog), 0)
 	if err != nil {
@@ -90,19 +95,19 @@ func TestReplayKernelsMatchLive(t *testing.T) {
 		wrapIL1, direct bool
 	}{
 		{"direct", false, true},
-		{"lean", false, false},
+		{"buffered", false, false},
 		{"direct-wrapped-il1", true, true},
-		{"lean-wrapped-il1", true, false},
+		{"buffered-wrapped-il1", true, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			live := newKernelSystem(tc.wrapIL1, tc.direct)
-			want, err := (&CPU{Cfg: DefaultConfig(), IMem: live.imem, DMem: live.dmem}).Run(prog)
+			want, err := (&CPU{Cfg: DefaultConfig(), IMem: live.imem, DMem: live.fe}).Run(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rep := newKernelSystem(tc.wrapIL1, tc.direct)
-			got, err := (&CPU{Cfg: DefaultConfig(), IMem: rep.imem, DMem: rep.dmem}).ReplayTrace(prog, tr)
+			got, err := (&CPU{Cfg: DefaultConfig(), IMem: rep.imem, DMem: rep.fe}).ReplayTrace(prog, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,11 +123,8 @@ func TestReplayKernelsMatchLive(t *testing.T) {
 			if g, w := rep.dl1.Stats(), live.dl1.Stats(); g != w {
 				t.Errorf("DL1 stats: replay %+v, live %+v", g, w)
 			}
-			if tc.direct {
-				g, w := rep.dmem.(*core.Direct).Stats(), live.dmem.(*core.Direct).Stats()
-				if g != w {
-					t.Errorf("Direct front-end stats: replay %+v, live %+v", g, w)
-				}
+			if g, w := rep.fe.Stats(), live.fe.Stats(); g != w {
+				t.Errorf("%s front-end stats: replay %+v, live %+v", rep.fe.Name(), g, w)
 			}
 		})
 	}

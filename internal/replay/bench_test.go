@@ -1,9 +1,9 @@
-// Micro-benchmarks for the replay timing kernels (DESIGN.md §7.9):
-// one configuration, one captured trace, timing passes only — the
-// tightest possible loop over the two replay kernels, for comparing
-// them without the sweep engine's scheduling and scoring around
-// them. scripts/bench.sh records the sweep-level numbers; these are for
-// profiling sessions.
+// Micro-benchmarks for the replay timing kernel (DESIGN.md §7.9): one
+// configuration, one captured trace, timing passes only — the tightest
+// possible loop over the replay kernel, for comparing its data ports
+// without the sweep engine's scheduling and scoring around them.
+// scripts/bench.sh records the sweep-level numbers; these are for
+// profiling sessions, and scripts/check.sh runs each once.
 package replay_test
 
 import (
@@ -44,11 +44,12 @@ func benchReplay(b *testing.B, bench string, mk func() sim.Config) {
 	}
 }
 
-// BenchmarkReplayKernel exercises the two dominant kernel shapes of the
-// proposal sweep: lean (VWB proposal stack) and direct (bare DL1). The
-// bytes/s figure is trace records replayed per second (×2 passes for
-// the warm-up).
+// BenchmarkReplayKernel runs the replay kernel on the two dominant data
+// ports of the proposal sweep: vwb (the VWB proposal stack) and direct
+// (a Direct front end over the DL1, the SRAM baseline). The bytes/s
+// figure is trace records replayed per second (×2 passes for the
+// warm-up).
 func BenchmarkReplayKernel(b *testing.B) {
-	b.Run("lean", func(b *testing.B) { benchReplay(b, "gemver", sim.ProposalVWB) })
+	b.Run("vwb", func(b *testing.B) { benchReplay(b, "gemver", sim.ProposalVWB) })
 	b.Run("direct", func(b *testing.B) { benchReplay(b, "gemver", sim.BaselineSRAM) })
 }

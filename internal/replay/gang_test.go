@@ -14,9 +14,10 @@ import (
 )
 
 // gangConfigs builds a batch of gang members sharing compile options
-// (the plain arm of the Fig. 3 matrix, cycled to the requested width).
-// Repeats are deliberate: a sound gang must give duplicated members
-// identical results.
+// (the plain arm of the Fig. 3 matrix, cycled to the requested width),
+// so one gang mixes both kinds of data port: a Direct front end (SRAM
+// baseline, drop-in STT) and the VWB. Repeats are deliberate: a sound
+// gang must give duplicated members identical results.
 func gangConfigs(width int) []sim.Config {
 	presets := []func() sim.Config{sim.BaselineSRAM, sim.DropInSTT, sim.ProposalVWB}
 	out := make([]sim.Config, width)

@@ -13,6 +13,9 @@ go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
 go test ./...
+# Otherwise only go vet would ever compile the replay profiling
+# benchmarks; run each sub-benchmark once so they keep working.
+go test -run '^$' -bench BenchmarkReplayKernel -benchtime 1x ./internal/replay
 
 # Snapshots: every table and figure must render byte-identically to the
 # committed results. A snapshot diff catches bugs in the cache and
