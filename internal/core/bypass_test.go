@@ -94,6 +94,40 @@ func TestBypassStoreInvalidatesResidentLine(t *testing.T) {
 	}
 }
 
+// TestBypassStoreFreedSlotTakesNextPreRead fills all four rows, drops
+// one with a store, and checks that the next pre-read lands in the freed
+// slot instead of evicting a valid row.
+func TestBypassStoreFreedSlotTakesNextPreRead(t *testing.T) {
+	b, _ := bypass16()
+	if b.Lines() != 4 {
+		t.Fatalf("side buffer has %d rows, want 4", b.Lines())
+	}
+	// A unit-stride stream, 100 cycles apart so no pre-read is still
+	// protected: from the third read on, each read pre-reads the next
+	// line. The fifth pre-read (0x1c0) finds every row valid and evicts
+	// the LRU row (0x0c0).
+	for i := 0; i < 7; i++ {
+		bpRead(b, int64(100*i), mem.Addr(0x40*i))
+	}
+	for _, a := range []mem.Addr{0x100, 0x140, 0x180, 0x1c0} {
+		if !b.Contains(a) {
+			t.Fatalf("line %#x not resident before the store", a)
+		}
+	}
+	b.Access(800, mem.Req{Addr: 0x1c0, Bytes: 4, Kind: mem.Write})
+	if b.Contains(0x1c0) {
+		t.Fatal("stored-to line still resident")
+	}
+	// The read of the dropped line misses and pre-reads 0x200, which
+	// must take the free slot: every other row stays resident.
+	bpRead(b, 900, 0x1c0)
+	for _, a := range []mem.Addr{0x100, 0x140, 0x180, 0x200} {
+		if !b.Contains(a) {
+			t.Errorf("line %#x not resident after the pre-read into the freed slot", a)
+		}
+	}
+}
+
 func TestBypassPrefetchPassesThrough(t *testing.T) {
 	b, p := bypass16()
 	done := b.Access(5, mem.Req{Addr: 0x3000, Bytes: 4, Kind: mem.Prefetch})

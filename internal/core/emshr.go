@@ -106,7 +106,7 @@ func (m *EMSHR) Access(now int64, req mem.Req) int64 {
 		// No store path: the write goes to the DL1; a retained copy of
 		// the line must die so the file never serves stale data.
 		if e != nil {
-			m.buf.invalidate(e)
+			e.valid = false
 			m.Invalidations++
 		}
 		m.stats.Record(mem.Write, false)

@@ -27,8 +27,9 @@ import (
 // model reads, a codec change, a change to what the key covers. Version
 // 2 keys on the functional digest instead of the trace bytes; version 3
 // resets the IL1 front end between warm-up and measured pass; version 4
-// stops tag misses from merging into the MSHR of an evicted line.
-const SchemaVersion = 4
+// stops tag misses from merging into the MSHR of an evicted line;
+// version 5 lets a bypass pre-read reuse a row a store dropped.
+const SchemaVersion = 5
 
 // recordMagic frames a record on disk. The trailing digit tracks the
 // framing only; record semantics are versioned by SchemaVersion.
