@@ -148,11 +148,14 @@ dse flags:
   -top N  keep only the N lowest-penalty rows of the frontier table
   -csv    dump every evaluated point (objectives, dominance rank) as CSV
   -shard i/n
-          simulate only the points whose enumeration index ≡ i (mod n)
-          into the store (exhaustive + -store only; prints a summary, no
-          frontier). n processes with shards 0/n..n-1/n cover the space;
-          a follow-up run without -shard stitches the full evaluation
-          from the warm store, byte-identical to a single-process sweep
+          simulate only block i of n of the sweep's distinct
+          configurations into the store (exhaustive + -store only;
+          prints a summary, no frontier). Blocks are cut from whole warm
+          groups, so each configuration is simulated by one shard and a
+          warm group splits only at a block boundary. n processes with
+          shards 0/n..n-1/n cover the space; a follow-up run without
+          -shard stitches the full evaluation from the warm store,
+          byte-identical to a single-process sweep
   -j/-v/-bench/-check/-store as for run
 
 bench flags:
@@ -397,7 +400,7 @@ func newDseFlagSet() (*flag.FlagSet, *dseFlagVals) {
 		searchMode: fs.String("search", "exhaustive", "exploration strategy: exhaustive, or guided (frontier-guided metaheuristic with a full-evaluation budget)"),
 		budget:     fs.Int("budget", 64, "guided search: full-suite evaluation budget"),
 		seed:       fs.Int64("seed", 1, "guided search: proposal RNG seed (printed in the report header)"),
-		shard:      fs.String("shard", "", "simulate only shard i/n of the space into the store (exhaustive + -store only)"),
+		shard:      fs.String("shard", "", "simulate only block i of n of the sweep's distinct configurations, cut from whole warm groups, into the store (exhaustive + -store only)"),
 	}
 	v.benchList = fs.String("bench", "", "comma-separated benchmark subset (default: all)")
 	v.verbose = fs.Bool("v", false, "log each simulation")

@@ -100,41 +100,3 @@ func TestRestrictErrors(t *testing.T) {
 		t.Error("nil selection changed the space")
 	}
 }
-
-// TestPlanShardMatchesEvaluateShard pins the plan as the single source
-// of a shard's work list: its point accounting matches EvaluateShard's
-// (which now runs over the same plan), the union of all shards' points
-// covers the space exactly once, and only shard 0 carries the shared
-// reference extra.
-func TestPlanShardMatchesEvaluateShard(t *testing.T) {
-	sp := Smoke()
-	all := sp.Enumerate()
-	const n = 3
-	covered := 0
-	for i := 0; i < n; i++ {
-		plan, err := PlanShard(sp, Shard{Index: i, Count: n})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.SpacePoints != len(all) {
-			t.Errorf("shard %d: SpacePoints %d, want %d", i, plan.SpacePoints, len(all))
-		}
-		covered += plan.Points
-		want := 2 * plan.Points
-		if i == 0 {
-			want++ // the shared SRAM reference rides on shard 0
-		}
-		if len(plan.Configs) != want {
-			t.Errorf("shard %d: %d configs, want %d", i, len(plan.Configs), want)
-		}
-		if got := plan.Sims(2); got != want*2 {
-			t.Errorf("shard %d: Sims(2) = %d, want %d", i, got, want*2)
-		}
-	}
-	if covered != len(all) {
-		t.Errorf("shards cover %d points, want %d", covered, len(all))
-	}
-	if _, err := PlanShard(sp, Shard{}); err == nil {
-		t.Error("disabled shard: want error")
-	}
-}

@@ -118,7 +118,7 @@ func (e *testEnv) result(id, format string) (string, int) {
 }
 
 // startWorker runs a Worker against the env until test cleanup.
-func (e *testEnv) startWorker(name string) {
+func (e *testEnv) startWorker(name string) *Worker {
 	e.t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{URL: e.ts.URL, Store: e.st, Name: name}
@@ -131,6 +131,7 @@ func (e *testEnv) startWorker(name string) {
 		cancel()
 		<-done
 	})
+	return w
 }
 
 // expectedCSV renders what `sttexplore dse -space <sp> -bench gemm -csv`
@@ -159,8 +160,7 @@ func gemm(t *testing.T) []polybench.Bench {
 // single-process `sttexplore dse` run prints.
 func TestServeJobMatchesDse(t *testing.T) {
 	e := newEnv(t, Options{})
-	e.startWorker("w1")
-	e.startWorker("w2")
+	workers := []*Worker{e.startWorker("w1"), e.startWorker("w2")}
 
 	js := e.submit(JobRequest{Space: "smoke", Benches: []string{"gemm"}, Shards: 2})
 	if js.Shards.Total != 2 {
@@ -169,6 +169,19 @@ func TestServeJobMatchesDse(t *testing.T) {
 	done := e.waitState(js.ID, stateDone, 2*time.Minute)
 	if done.Sims == 0 {
 		t.Error("job done with zero reported sims")
+	}
+	// The shards split the sweep into blocks of whole warm groups
+	// (DESIGN.md §7.7), so between them the workers do exactly the
+	// unsharded sweep's work: 11 distinct configurations (10 points and
+	// the SRAM reference) in 6 warm groups.
+	warmUps, sims := 0, 0
+	for _, w := range workers {
+		s := w.suiteFor(false)
+		warmUps += s.WarmUps()
+		sims += s.SimsRun()
+	}
+	if warmUps != 6 || sims != 11 {
+		t.Errorf("workers ran %d warm-up(s) and %d simulation(s), want 6 and 11", warmUps, sims)
 	}
 
 	sp, _ := dse.ByName("smoke")
@@ -319,6 +332,8 @@ func TestBadJobsNeverEnqueued(t *testing.T) {
 		{"unknown axis", []byte(`{"axes": {"no-such-axis": ["x"]}}`), http.StatusBadRequest},
 		{"bad search", []byte(`{"search": "psychic"}`), http.StatusBadRequest},
 		{"negative shards", []byte(`{"shards": -2}`), http.StatusBadRequest},
+		{"max-int shards", []byte(`{"space": "smoke", "shards": 9223372036854775807}`), http.StatusBadRequest},
+		{"a billion shards", []byte(`{"shards": 1000000000}`), http.StatusBadRequest},
 		{"oversized body", []byte(`{"space": "` + strings.Repeat("x", MaxJobBody+1) + `"}`), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
@@ -333,6 +348,17 @@ func TestBadJobsNeverEnqueued(t *testing.T) {
 	e.do("GET", "/v1/jobs", nil, &jobs)
 	if len(jobs) != 0 {
 		t.Errorf("%d job(s) enqueued by rejected submissions", len(jobs))
+	}
+}
+
+// TestDefaultShardsFitSpace pins the other side of the shard bound: a
+// server default larger than a space is clamped to the space's size, so
+// a job that never asked for shards is not refused.
+func TestDefaultShardsFitSpace(t *testing.T) {
+	e := newEnv(t, Options{DefaultShards: 8})
+	js := e.submit(JobRequest{Space: "ablation-banks", Benches: []string{"gemm"}})
+	if js.Shards.Total != 4 {
+		t.Errorf("job has %d shard(s), want the space's 4", js.Shards.Total)
 	}
 }
 

@@ -44,8 +44,8 @@ type JobRequest struct {
 	Budget int   `json:"budget,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
 	// Shards partitions an exhaustive job into this many leases
-	// (0 = server default). Guided search is sequential by nature and
-	// always runs as a single lease.
+	// (0 = server default), at most the space's unpruned size. Guided
+	// search is sequential by nature and always runs as a single lease.
 	Shards int `json:"shards,omitempty"`
 	// Check runs every simulation under the timing-contract oracle.
 	Check bool `json:"check,omitempty"`
@@ -114,7 +114,9 @@ func resolve(req JobRequest, defaultShards int) (jobSpec, error) {
 		spec.Seed = 1
 	}
 	if spec.Shards == 0 {
-		spec.Shards = defaultShards
+		// A server-wide default never splits a small space into more
+		// shards than the bound below allows.
+		spec.Shards = min(defaultShards, sp.Size())
 	}
 	if spec.Shards < 1 {
 		return jobSpec{}, fmt.Errorf("shards must be >= 1 (got %d)", spec.Shards)
@@ -123,6 +125,12 @@ func resolve(req JobRequest, defaultShards int) (jobSpec, error) {
 		// Sequential by nature; the single lease warms the store for the
 		// stitch rather than partitioning anything.
 		spec.Shards = 1
+	}
+	// A job allocates one lease slot per shard, so the count is bounded
+	// before anything is allocated. The unpruned cross-product size
+	// bounds it without enumerating the space.
+	if n := sp.Size(); spec.Shards > n {
+		return jobSpec{}, fmt.Errorf("shards must be at most the space's unpruned size %d (got %d)", n, spec.Shards)
 	}
 	return spec, nil
 }

@@ -65,6 +65,23 @@ cmp "$tmp_on" "$tmp_off"
 cat "$tmp_err"
 grep -qF ', 0 capture(s)' "$tmp_err"
 
+# Sharded sweep (DESIGN.md §7.7): three shard processes fill a fresh
+# store, and the stitch run renders byte-identically to the unsharded
+# sweep. Shards are disjoint blocks of whole warm groups, so between
+# them they do exactly the unsharded sweep's work: 22 simulations in 12
+# warm groups.
+shard_dir=$(mktemp -d)
+trap 'rm -f "$tmp_on" "$tmp_off" "$tmp_err"; rm -rf "$store_dir" "$shard_dir"' EXIT
+: >"$tmp_err"
+for i in 0 1 2; do
+	go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -store "$shard_dir" -shard "$i/3" >/dev/null 2>>"$tmp_err"
+done
+cat "$tmp_err"
+test "$(sed -n 's|^store: .* / \([0-9]*\) evaluated, .*, \([0-9]*\) warm-up(s)$|\1 \2|p' "$tmp_err" |
+	awk '{ evaluated += $1; warm += $2 } END { print evaluated, warm }')" = "22 12"
+go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -store "$shard_dir" -csv >"$tmp_off"
+cmp "$tmp_on" "$tmp_off"
+
 # Gang replay (DESIGN.md §7.9) under the race detector: gang replay
 # shares one trace walk across configurations; the detector proves the
 # members' states stay disjoint while cmp proves the cycles do.
@@ -77,7 +94,7 @@ cmp "$tmp_on" "$tmp_off"
 # server must drain cleanly on SIGTERM.
 bin_dir=$(mktemp -d)
 serve_store=$(mktemp -d)
-trap 'rm -f "$tmp_on" "$tmp_off" "$tmp_err"; rm -rf "$store_dir" "$bin_dir" "$serve_store"' EXIT
+trap 'rm -f "$tmp_on" "$tmp_off" "$tmp_err"; rm -rf "$store_dir" "$shard_dir" "$bin_dir" "$serve_store"' EXIT
 go build -o "$bin_dir/sttexplore" ./cmd/sttexplore
 "$bin_dir/sttexplore" serve -addr 127.0.0.1:0 -addr-file "$bin_dir/addr" \
 	-store "$serve_store" -workers 2 &
