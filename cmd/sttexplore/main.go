@@ -703,6 +703,9 @@ func cmdBench(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("bench: need exactly one kernel name; see 'sttexplore list'")
 	}
+	if *size < 0 {
+		return fmt.Errorf("bench: problem size -n %d is negative", *size)
+	}
 	stopProfile, err := profile()
 	if err != nil {
 		return err

@@ -63,3 +63,18 @@ func TestBenchConfigsBuild(t *testing.T) {
 		seen[cfg.Name] = true
 	}
 }
+
+// TestBenchRejectsBadSizes: a negative -n is an error rather than the
+// default size, and a size whose data segment cannot be addressed fails
+// at compile time with the kernel named, before anything allocates it.
+func TestBenchRejectsBadSizes(t *testing.T) {
+	for _, tc := range []struct{ n, want string }{
+		{"-1", "negative"},
+		{"100000", "compile: atax: data segment"},
+	} {
+		err := cmdBench([]string{"-n", tc.n, "atax"})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("bench -n %s atax: got %v, want an error containing %q", tc.n, err, tc.want)
+		}
+	}
+}

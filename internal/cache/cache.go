@@ -17,6 +17,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"sttdl1/internal/mem"
 )
@@ -149,6 +150,9 @@ type Cache struct {
 	setShift  uint
 	bankMask  int
 
+	// arr owns sets and mru; Release returns it to the pool of its
+	// geometry.
+	arr  *arrays
 	sets [][]line
 	// mru is a per-set probe hint: the way of the set's last hit.
 	// Access streams are line-local, so lookup checks it before the way
@@ -249,12 +253,8 @@ func New(cfg Config, next mem.Port) *Cache {
 		setShift:  uint(log2(cfg.Sets())),
 		bankMask:  cfg.Banks - 1,
 	}
-	c.sets = make([][]line, cfg.Sets())
-	backing := make([]line, cfg.Sets()*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-	}
-	c.mru = make([]int32, cfg.Sets())
+	c.arr = getArrays(geometry{cfg.Sets(), cfg.Assoc})
+	c.sets, c.mru = c.arr.sets, c.arr.mru
 	c.bankFree = make([]int64, cfg.Banks)
 	if cfg.SRAMWays > 0 {
 		c.sramFree = make([]int64, cfg.Banks)
@@ -267,6 +267,58 @@ func New(cfg Config, next mem.Port) *Cache {
 	c.mshrs = make([]mshr, cfg.MSHRs)
 	c.wbuf = make([]wbEntry, cfg.WriteBufDepth)
 	return c
+}
+
+// geometry keys the pools of set storage: caches of one geometry can
+// share it whatever their latencies, banks or partitions.
+type geometry struct{ sets, assoc int }
+
+// arrays is the set storage of one cache: the line array, the per-set
+// slice headers into it, and the per-set MRU hints. It is the bulk of a
+// cache's memory (1 MB of lines for the 2 MB 16-way L2).
+type arrays struct {
+	lines []line
+	sets  [][]line
+	mru   []int32
+}
+
+// arrayPools maps a geometry to the *sync.Pool of its released arrays.
+var arrayPools sync.Map
+
+func poolOf(g geometry) *sync.Pool {
+	if p, ok := arrayPools.Load(g); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := arrayPools.LoadOrStore(g, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// getArrays returns zeroed set storage of geometry g: a released one
+// cleared, or a fresh allocation.
+func getArrays(g geometry) *arrays {
+	if a, ok := poolOf(g).Get().(*arrays); ok {
+		clear(a.lines)
+		clear(a.mru)
+		return a
+	}
+	a := &arrays{
+		lines: make([]line, g.sets*g.assoc),
+		sets:  make([][]line, g.sets),
+		mru:   make([]int32, g.sets),
+	}
+	for i := range a.sets {
+		a.sets[i] = a.lines[i*g.assoc : (i+1)*g.assoc : (i+1)*g.assoc]
+	}
+	return a
+}
+
+// Release returns the cache's set storage for reuse by the next cache
+// of the same geometry and drops the cache's references to it, so a
+// later access, or a second Release, panics instead of reading another
+// cache's lines. Its counters stay readable.
+func (c *Cache) Release() {
+	poolOf(geometry{len(c.arr.sets), c.cfg.Assoc}).Put(c.arr)
+	c.arr, c.sets, c.mru = nil, nil, nil
 }
 
 // Config returns the cache's configuration.
@@ -297,7 +349,7 @@ func log2(n int) int {
 }
 
 // lookup returns the way holding addr's line, or -1. Indexing instead of
-// ranging matters: a range copies each 40-byte line per probed way, and
+// ranging matters: a range copies each 32-byte line per probed way, and
 // this runs once per simulated access.
 func (c *Cache) lookup(set int, tag mem.Addr) int {
 	ways := c.sets[set]

@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"sttdl1/internal/cpu"
@@ -456,4 +457,30 @@ func TestRegPoolDiscipline(t *testing.T) {
 		p.free(c)
 		p.free(c)
 	}()
+}
+
+// TestCompileRefusesOversizeDataSegment pins the 2 GiB data-address
+// limit: atax just below it compiles (compiling never allocates the
+// segment), and at n = 23171 and beyond Compile refuses, naming the
+// kernel, instead of truncating 32-bit bases into the code segment.
+func TestCompileRefusesOversizeDataSegment(t *testing.T) {
+	b, ok := polybench.ByName("atax")
+	if !ok {
+		t.Fatal("unknown benchmark atax")
+	}
+	ck, err := Compile(b.Build(23000), Options{})
+	if err != nil {
+		t.Fatalf("n=23000: %v", err)
+	}
+	if ck.Prog.DataSize+cpu.StackBytes > math.MaxInt32 {
+		t.Fatalf("n=23000 compiled to a %d-byte data segment past the limit", ck.Prog.DataSize)
+	}
+	for _, n := range []int{23171, 30000} {
+		for _, opts := range []Options{{}, AllOptimizations()} {
+			_, err := Compile(b.Build(n), opts)
+			if err == nil || !strings.Contains(err.Error(), "atax") || !strings.Contains(err.Error(), "data segment") {
+				t.Errorf("n=%d %+v: got %v, want a data-segment error naming atax", n, opts, err)
+			}
+		}
+	}
 }

@@ -7,7 +7,9 @@ package compile
 
 import (
 	"fmt"
+	"math"
 
+	"sttdl1/internal/cpu"
 	"sttdl1/internal/ir"
 	"sttdl1/internal/isa"
 )
@@ -130,6 +132,13 @@ func Compile(k *ir.Kernel, opt Options) (*Compiled, error) {
 	lo.Align = opt.Align
 	lo.AlignBytes = opt.LineSize
 	size := ir.Layout(k, lo)
+	// Data addresses are 32-bit array bases, MOVI immediates and an SP
+	// of int32(len(Mem)), and must stay below the code segment at
+	// cpu.Config.CodeBase (2 GiB): a larger segment would truncate
+	// addresses silently, so it is refused before anything allocates it.
+	if size > math.MaxInt32-cpu.StackBytes {
+		return nil, fmt.Errorf("compile: %s: data segment of %d bytes plus the %d-byte stack does not fit in 2 GiB", k.Name, size, cpu.StackBytes)
+	}
 
 	c := &compiler{
 		emitter:   newEmitter(),

@@ -192,6 +192,21 @@ func countTrace(pcs []int32, dec []decoded) traceCounts {
 	return tc
 }
 
+// chunkRecs is the record capacity of one capture chunk.
+const chunkRecs = 1 << 16
+
+// captureChunk buffers chunkRecs records of a capture in progress. Its
+// taken bits are set with |=, so a chunk enters chunkPool with them
+// cleared; the PCs and addresses are overwritten record by record.
+type captureChunk struct {
+	pcs   [chunkRecs]int32
+	addrs [chunkRecs]uint32
+	taken [chunkRecs / 64]uint64
+}
+
+// chunkPool recycles capture chunks (532 KB each) across captures.
+var chunkPool = sync.Pool{New: func() any { return new(captureChunk) }}
+
 // Capture executes prog functionally (no timing) from st until HALT and
 // records the retired-instruction stream. The trace is independent of
 // any timing configuration: it can be replayed against every hierarchy
@@ -204,15 +219,15 @@ func Capture(prog *isa.Program, st *State, maxInsts uint64) (*Trace, error) {
 	// exact-size slices once at HALT: traces run to millions of records,
 	// where append's growth factor both churns multi-megabyte copies and
 	// strands up to a quarter of the final capacity in the long-lived
-	// trace cache.
-	const chunkRecs = 1 << 16
-	type chunk struct {
-		pcs   [chunkRecs]int32
-		addrs [chunkRecs]uint32
-		taken [chunkRecs / 64]uint64
-	}
-	var chunks []*chunk
-	var cur *chunk
+	// trace cache. The chunks go back to chunkPool on every return.
+	var chunks []*captureChunk
+	defer func() {
+		for _, c := range chunks {
+			clear(c.taken[:])
+			chunkPool.Put(c)
+		}
+	}()
+	var cur *captureChunk
 	fill := chunkRecs // records in the current chunk (full = rotate)
 	var n uint64
 	for !st.Halted {
@@ -225,7 +240,7 @@ func Capture(prog *isa.Program, st *State, maxInsts uint64) (*Trace, error) {
 			return nil, err
 		}
 		if fill == chunkRecs {
-			cur = new(chunk)
+			cur = chunkPool.Get().(*captureChunk)
 			chunks = append(chunks, cur)
 			fill = 0
 		}

@@ -127,3 +127,30 @@ func TestCanonicalKeySeparatesCheck(t *testing.T) {
 		t.Error("Canonical keeps Check; checking must not split design equality")
 	}
 }
+
+// TestSpacesValidate checks that sim.New accepts every point of every
+// built-in space and its penalty baseline: enumerable spaces point by
+// point, the mega space by a fixed-seed sample.
+func TestSpacesValidate(t *testing.T) {
+	const enumCap = 4096
+	check := func(sp Space, cfg sim.Config) {
+		for _, c := range []sim.Config{cfg, sp.BaselineFor(cfg)} {
+			if err := sim.Validate(c); err != nil {
+				t.Fatalf("space %s: %s: %v", sp.Name, c.Name, err)
+			}
+		}
+	}
+	for _, sp := range Spaces() {
+		if sp.CountUpTo(enumCap+1) <= enumCap {
+			for _, pt := range sp.Enumerate() {
+				check(sp, pt.Config)
+			}
+			continue
+		}
+		for seed := uint64(0); seed < 2000; seed++ {
+			if _, cfg, ok := megaGenome(t, sp, seed); ok {
+				check(sp, cfg)
+			}
+		}
+	}
+}

@@ -172,7 +172,8 @@ func functionalDigest(ck *compile.Compiled) ([sha256.Size]byte, error) {
 }
 
 // Run executes bench b under cfg by timing replay: the (memoized)
-// compile + capture, then a fresh system replaying the trace. The result
+// compile + capture, then a fresh system replaying the trace and
+// released once the result is assembled. The result
 // is byte-identical to sim.Run for the same inputs. A cancellable ctx is
 // probed inside the timing loop (warm-up pass included), so a canceled
 // caller gets ctx's error back within ~65k replayed records instead of
@@ -187,12 +188,20 @@ func Run(ctx context.Context, c *Cache, b polybench.Bench, cfg sim.Config) (*sim
 	if err != nil {
 		return nil, err
 	}
-	defer func() { c.warmUps.Add(int64(sys.WarmUps())) }()
+	defer c.finish(sys)
 	if ctl := cancelCtl(ctx, nil); ctl != nil {
 		r, _, err := sys.ReplayCompiledCtl(ck, tr, ctl)
 		return r, err
 	}
 	return sys.ReplayCompiled(ck, tr)
+}
+
+// finish counts the warm-ups sys ran and releases its caches for the
+// next system: every replay here builds its own systems and hands back
+// only RunResults, which hold no reference into them.
+func (c *Cache) finish(sys *sim.System) {
+	c.warmUps.Add(int64(sys.WarmUps()))
+	sys.Release()
 }
 
 // cancelCtl merges ctx cancellation into a partial-replay control
@@ -217,7 +226,8 @@ func cancelCtl(ctx context.Context, ctl *sim.ReplayCtl) *sim.ReplayCtl {
 // warm-ups and ganged passes (sim.ReplayGroup, trace walks of at most
 // width members; width <= 0 means one walk per pass): the memoized
 // compile + capture once, one fresh system per configuration, then the
-// group replay. Results are in cfgs order and each is byte-identical to
+// group replay; the systems are released once the results are
+// assembled. Results are in cfgs order and each is byte-identical to
 // Run of the same (b, cfg). All configurations must share
 // CompileOptions — they would not share a trace otherwise — and a
 // mismatch is an error, not a silent split. Like Run, a cancellable ctx
@@ -236,23 +246,23 @@ func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config
 	if err != nil {
 		return nil, err
 	}
-	systems := make([]*sim.System, len(cfgs))
-	for i, cfg := range cfgs {
+	systems := make([]*sim.System, 0, len(cfgs))
+	defer func() {
+		for _, sys := range systems {
+			c.finish(sys)
+		}
+	}()
+	for _, cfg := range cfgs {
 		sys, err := sim.New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		systems[i] = sys
+		systems = append(systems, sys)
 	}
 	var interrupt func() error
 	if ctx.Done() != nil {
 		interrupt = func() error { return ctx.Err() }
 	}
-	defer func() {
-		for _, sys := range systems {
-			c.warmUps.Add(int64(sys.WarmUps()))
-		}
-	}()
 	return sim.ReplayGroup(systems, width, ck, tr, interrupt, 0)
 }
 
@@ -269,6 +279,6 @@ func RunCtl(ctx context.Context, c *Cache, b polybench.Bench, cfg sim.Config, ct
 	if err != nil {
 		return nil, false, err
 	}
-	defer func() { c.warmUps.Add(int64(sys.WarmUps())) }()
+	defer c.finish(sys)
 	return sys.ReplayCompiledCtl(ck, tr, cancelCtl(ctx, ctl))
 }

@@ -165,6 +165,39 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Validate reports whether New can assemble cfg, after the defaulting
+// New applies: the DL1 banks must be a power of two no larger than the
+// DL1's line count, the front-end buffer a whole number of DL1 lines no
+// larger than the DL1 itself, and way partitioning and shutdown must
+// sit on an NVM DL1. New calls it first, so a malformed configuration
+// is an error instead of a panic or an out-of-memory in a component
+// constructor.
+func Validate(cfg Config) error {
+	cfg = cfg.withDefaults()
+	lineBytes := DL1Line(cfg.DL1Cell)
+	if b := cfg.DL1Banks; b&(b-1) != 0 || b > DL1Size/lineBytes {
+		return fmt.Errorf("sim: DL1Banks %d is not a power of two in [1, %d]", b, DL1Size/lineBytes)
+	}
+	if bits := cfg.BufferBits; bits%(lineBytes*8) != 0 || bits > DL1Size*8 {
+		return fmt.Errorf("sim: BufferBits %d is not a whole number of %d-bit lines within the %d-bit DL1", bits, lineBytes*8, DL1Size*8)
+	}
+	if cfg.SRAMWays != 0 || cfg.ShutdownInterval != 0 {
+		// Hybrid partitioning and way shutdown are defined against an
+		// NVM array (the SRAM partition's latencies come from the SRAM
+		// technology model; shutdown's leakage credit prices NVM ways).
+		if cfg.DL1Cell == tech.SRAM6T {
+			return fmt.Errorf("sim: SRAMWays/ShutdownInterval require an NVM DL1 cell")
+		}
+		if cfg.SRAMWays < 0 || cfg.SRAMWays > DL1Assoc {
+			return fmt.Errorf("sim: SRAMWays %d outside [0, %d]", cfg.SRAMWays, DL1Assoc)
+		}
+		if cfg.ShutdownInterval < 0 {
+			return fmt.Errorf("sim: ShutdownInterval must be non-negative")
+		}
+	}
+	return nil
+}
+
 // DL1Line returns the DL1 line size used in the simulator: 64 B for every
 // technology. Table I reports a narrower (256-bit) natural line for the
 // SRAM array, but the paper's gem5 experiments replace the SRAM D-cache
@@ -200,6 +233,9 @@ type System struct {
 
 // New assembles a platform.
 func New(cfg Config) (*System, error) {
+	if err := Validate(cfg); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 
 	line := DL1Line(cfg.DL1Cell)
@@ -270,25 +306,11 @@ func New(cfg Config) (*System, error) {
 	if cfg.DL1Cell == tech.SRAM6T {
 		dl1Cfg.ReadInterval, dl1Cfg.WriteInterval = 1, 1
 	}
-	if cfg.SRAMWays != 0 || cfg.ShutdownInterval != 0 {
-		// Hybrid partitioning and way shutdown are defined against an
-		// NVM array (the SRAM partition's latencies come from the SRAM
-		// technology model; shutdown's leakage credit prices NVM ways).
-		if cfg.DL1Cell == tech.SRAM6T {
-			return nil, fmt.Errorf("sim: SRAMWays/ShutdownInterval require an NVM DL1 cell")
-		}
-		if cfg.SRAMWays < 0 || cfg.SRAMWays > DL1Assoc {
-			return nil, fmt.Errorf("sim: SRAMWays %d outside [0, %d]", cfg.SRAMWays, DL1Assoc)
-		}
-		if cfg.ShutdownInterval < 0 {
-			return nil, fmt.Errorf("sim: ShutdownInterval must be non-negative")
-		}
-		dl1Cfg.SRAMWays = cfg.SRAMWays
-		dl1Cfg.ShutdownInterval = cfg.ShutdownInterval
-		if cfg.SRAMWays > 0 {
-			sm := tech.MustCompute(tech.DefaultArray(tech.SRAM6T))
-			dl1Cfg.SRAMReadLat, dl1Cfg.SRAMWriteLat = sm.CyclesAt(cfg.FreqGHz)
-		}
+	dl1Cfg.SRAMWays = cfg.SRAMWays
+	dl1Cfg.ShutdownInterval = cfg.ShutdownInterval
+	if cfg.SRAMWays > 0 {
+		sm := tech.MustCompute(tech.DefaultArray(tech.SRAM6T))
+		dl1Cfg.SRAMReadLat, dl1Cfg.SRAMWriteLat = sm.CyclesAt(cfg.FreqGHz)
 	}
 	dl1 := cache.New(dl1Cfg, l2Port)
 	dl1Port := wrap("DL1", dl1)
@@ -355,6 +377,17 @@ func (s *System) ResetTiming() {
 	for _, cp := range s.checks {
 		cp.ResetTiming()
 	}
+}
+
+// Release returns the set storage of the IL1, DL1 and L2 for reuse by
+// the next system (cache.Cache.Release). Results already assembled stay
+// valid: a RunResult copies every counter by value. The system must not
+// be used after it; a system that is never released is simply left to
+// the garbage collector.
+func (s *System) Release() {
+	s.IL1.Release()
+	s.DL1.Release()
+	s.L2.Release()
 }
 
 // CheckErr audits the timing oracle (full shadow-state comparison) and

@@ -365,3 +365,29 @@ func TestWarmDiffNamesField(t *testing.T) {
 		t.Errorf("after copyWarm: %v", err)
 	}
 }
+
+// TestValidateRejectsMalformed pins the configurations that used to
+// panic or exhaust memory inside a component constructor: New must
+// return Validate's error instead.
+func TestValidateRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"three banks", Config{DL1Cell: tech.STT2T2MTJ, DL1Banks: 3}},
+		{"7-bit buffer", Config{DL1Cell: tech.STT2T2MTJ, FrontEnd: FEVWB, BufferBits: 7}},
+		{"2^40-bit buffer", Config{DL1Cell: tech.STT2T2MTJ, FrontEnd: FEVWB, BufferBits: 1 << 40}},
+	} {
+		if err := Validate(tc.cfg); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, tc.cfg)
+		}
+		if _, err := New(tc.cfg); err == nil {
+			t.Errorf("%s: New accepted %+v", tc.name, tc.cfg)
+		}
+	}
+	for _, cfg := range []Config{BaselineSRAM(), DropInSTT(), ProposalVWB()} {
+		if err := Validate(cfg); err != nil {
+			t.Errorf("%s: %v", cfg.Name, err)
+		}
+	}
+}

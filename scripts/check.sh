@@ -28,6 +28,10 @@ go run ./cmd/sttexplore run paper | cmp - results_paper.txt
 go run ./scripts/counters | cmp - results_counters.json
 
 go test -race ./...
+# Recycled cache arrays (DESIGN.md §7.9) move between goroutines through
+# a sync.Pool; repeat the concurrent build/drive/release test under the
+# detector, whose pool drops items at random, so every path is taken.
+go test -race -count=10 -run '^TestConcurrentRelease$' ./internal/cache
 go run ./cmd/sttexplore run -check -bench atax,gemver fig3 >/dev/null
 go run ./cmd/sttexplore dse -check -space smoke -bench atax,gemver >/dev/null
 
