@@ -66,15 +66,22 @@ func TestBenchConfigsBuild(t *testing.T) {
 
 // TestBenchRejectsBadSizes: a negative -n is an error rather than the
 // default size, and a size whose data segment cannot be addressed fails
-// at compile time with the kernel named, before anything allocates it.
+// at compile time, before anything allocates it. The compile error
+// passes through the suite, replay and compile layers, and exactly one
+// of them names the kernel.
 func TestBenchRejectsBadSizes(t *testing.T) {
-	for _, tc := range []struct{ n, want string }{
-		{"-1", "negative"},
-		{"100000", "compile: atax: data segment"},
+	for _, tc := range []struct {
+		n, want string
+		named   int // times the message names atax
+	}{
+		{"-1", "negative", 0},
+		{"100000", "experiments: atax on stt-vwb: replay: compile: data segment", 1},
 	} {
 		err := cmdBench([]string{"-n", tc.n, "atax"})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("bench -n %s atax: got %v, want an error containing %q", tc.n, err, tc.want)
+		} else if got := strings.Count(err.Error(), "atax"); got != tc.named {
+			t.Errorf("bench -n %s atax: %q names atax %d times, want %d", tc.n, err, got, tc.named)
 		}
 	}
 }

@@ -137,7 +137,7 @@ func Compile(k *ir.Kernel, opt Options) (*Compiled, error) {
 	// cpu.Config.CodeBase (2 GiB): a larger segment would truncate
 	// addresses silently, so it is refused before anything allocates it.
 	if size > math.MaxInt32-cpu.StackBytes {
-		return nil, fmt.Errorf("compile: %s: data segment of %d bytes plus the %d-byte stack does not fit in 2 GiB", k.Name, size, cpu.StackBytes)
+		return nil, fmt.Errorf("compile: data segment of %d bytes plus the %d-byte stack does not fit in 2 GiB", size, cpu.StackBytes)
 	}
 
 	c := &compiler{
@@ -169,7 +169,7 @@ func Compile(k *ir.Kernel, opt Options) (*Compiled, error) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				cerr = fmt.Errorf("compile: %s: %v", k.Name, r)
+				cerr = fmt.Errorf("compile: %v", r)
 			}
 		}()
 		c.stmts(k.Body)
@@ -185,7 +185,7 @@ func Compile(k *ir.Kernel, opt Options) (*Compiled, error) {
 	}
 	prog := &isa.Program{Insts: insts, Name: k.Name, DataSize: size}
 	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("compile: %s: generated invalid code: %w", k.Name, err)
+		return nil, fmt.Errorf("compile: generated invalid code: %w", err)
 	}
 	return &Compiled{
 		Prog:               prog,

@@ -21,11 +21,7 @@
 // callers fall back to serial replay for those.
 package cpu
 
-import (
-	"fmt"
-
-	"sttdl1/internal/isa"
-)
+import "fmt"
 
 // gangChunk is the record granularity of the shared walk: 1<<14 records
 // is 128 KB of PC+address stream — comfortably inside the host L2 next
@@ -42,14 +38,14 @@ const gangChunk = 1 << 14
 // truncation or abort control, and a trace longer than any member's
 // instruction budget is rejected up front (the caller replays that
 // configuration serially to get its ordinary budget fault).
-func ReplayTraceGang(prog *isa.Program, tr *Trace, cpus []*CPU, interrupt func() error, intrEvery int) ([]*Result, error) {
+func ReplayTraceGang(tr *Trace, cpus []*CPU, interrupt func() error, intrEvery int) ([]*Result, error) {
 	if len(cpus) == 0 {
 		return nil, nil
 	}
-	n := len(tr.PCs)
+	n := tr.Len()
 	members := make([]*replayState, len(cpus))
 	for k, c := range cpus {
-		members[k] = newReplayState(c, prog, tr)
+		members[k] = newReplayState(c, tr)
 		if budget := members[k].maxInsts; uint64(n) > budget {
 			return nil, fmt.Errorf("cpu: gang replay member %d: trace length %d exceeds instruction budget %d", k, n, budget)
 		}

@@ -65,12 +65,8 @@ type replayState struct {
 	penalty    int64
 	maxInsts   uint64
 	codeBase   mem.Addr
-	pcs        []int32
-	addrs      []uint32
-	dec        []decoded
-	counts     traceCounts // retirement counts of the whole trace
+	tr         *Trace
 	mpIdx      []int32
-	final      *State
 	imem, dmem mem.Port
 	// il1 is non-nil when the instruction side is a bare cache (the
 	// FetchStream serves its hits).
@@ -94,19 +90,15 @@ type replayState struct {
 }
 
 // newReplayState wires one timing pass of c over tr: it resolves c's
-// configuration, binds the trace's decode table, retirement counts and
-// mispredict stream, and opens the fetch stream on a bare IL1. Serial
-// and gang replay share it.
-func newReplayState(c *CPU, prog *isa.Program, tr *Trace) *replayState {
+// configuration, binds the trace's mispredict stream, and opens the
+// fetch stream on a bare IL1. Serial and gang replay share it.
+func newReplayState(c *CPU, tr *Trace) *replayState {
 	cfg := c.Cfg.withDefaults()
-	st := &replayState{maxInsts: cfg.MaxInsts}
-	st.dec, st.counts = tr.decode(prog)
+	st := &replayState{maxInsts: cfg.MaxInsts, tr: tr}
 	st.mpIdx = tr.mispredicts(cfg.BpredEntries).idx
 	st.issueWidth = cfg.IssueWidth
 	st.penalty = cfg.MispredictPenalty
 	st.codeBase = mem.Addr(cfg.CodeBase)
-	st.pcs, st.addrs = tr.PCs, tr.Addrs
-	st.final = tr.Final
 	st.nextMp = -1
 	if len(st.mpIdx) > 0 {
 		st.nextMp = int(st.mpIdx[0])
@@ -129,12 +121,12 @@ func newReplayState(c *CPU, prog *isa.Program, tr *Trace) *replayState {
 // tally of the redirects it took.
 func (st *replayState) finish(n int) *Result {
 	st.fs.Close()
-	tc := st.counts
-	if n < len(st.pcs) {
+	tc := st.tr.counts
+	if n < st.tr.Len() {
 		// The partial result mirrors a live run's state at the cut.
-		tc = countTrace(st.pcs[:n], st.dec)
+		tc = st.tr.count(n)
 	}
-	res := &Result{State: st.final}
+	res := &Result{State: st.tr.Final}
 	res.FetchStallCycles = st.fetchStall
 	res.ReadStallCycles = st.readStall
 	res.WriteStallCycles = st.writeStall
@@ -148,8 +140,9 @@ func (st *replayState) finish(n int) *Result {
 	return res
 }
 
-// run replays records [lo, hi). Three mechanical loop-body strength
-// reductions keep it fast: the record streams are re-sliced to hi so
+// run replays records [lo, hi), one inner loop per trace chunk. Three
+// mechanical loop-body strength reductions keep it fast: each chunk's
+// record arrays are re-sliced to the range's end within the chunk so
 // the per-record index is provably in bounds, the 8-byte decode entry
 // is loaded by value into a register instead of chased through a
 // pointer ten times, and the FetchStream's hot fields live in locals
@@ -158,9 +151,8 @@ func (st *replayState) finish(n int) *Result {
 func (st *replayState) run(lo, hi int) {
 	var (
 		ready      = &st.ready
-		pcs        = st.pcs[:hi]
-		addrs      = st.addrs[:hi]
-		dec        = st.dec
+		chunks     = st.tr.chunks
+		dec        = st.tr.dec
 		imem, dmem = st.imem, st.dmem
 		codeBase   = st.codeBase
 		issueWidth = st.issueWidth
@@ -195,141 +187,147 @@ func (st *replayState) run(lo, hi int) {
 		nextMp     = st.nextMp
 		mpK        = st.mpK
 	)
-	for i := lo; i < hi; i++ {
-		pc := int(pcs[i])
-		d := dec[pc]
+	for lo < hi {
+		c, first := chunks[lo>>chunkShift], lo&^chunkMask // first: record index of entry 0
+		end := min(hi-first, chunkRecs)
+		pcs, addrs := c.pcs[:end], c.addrs[:end]
+		for j := lo & chunkMask; j < end; j++ {
+			pc, addr := int(pcs[j]), mem.Addr(addrs[j])
+			d := dec[pc]
 
-		fetchAt := max(fetchLast, redirectAt)
-		if fetchAt > fetchLast {
-			fetchLast = fetchAt
-			fetchSlots = 1
-		} else {
-			fetchSlots++
-			if fetchSlots > issueWidth {
-				fetchLast++
-				fetchAt = fetchLast
+			fetchAt := max(fetchLast, redirectAt)
+			if fetchAt > fetchLast {
+				fetchLast = fetchAt
 				fetchSlots = 1
-			}
-		}
-		fetchAddr := codeBase + mem.Addr(pc)*isa.InstBytes
-		var fetchDone int64
-		if line := fetchAddr >> il1Shift; line == curLine {
-			cpos := pos64(*curBankFree - fetchAt) // bank-conflict delay, 0 when free
-			conflicts += cpos
-			start := fetchAt + cpos
-			fetchDone = start + lat
-			*curBankFree = start + ival
-			seq++
-			hpos := pos64(curReady - fetchDone) // hit-under-fill cap, 0 when filled
-			huf += hpos
-			fetchDone += hpos
-		} else {
-			// Line switch: sync the stream's counters (Switch may flush a
-			// slot or Close, both of which read them), then reload every
-			// local from the stream's post-switch state. Without a bare
-			// IL1 the stream stays closed and every fetch lands here.
-			fs.Seq, fs.Conflicts, fs.HUF = seq, conflicts, huf
-			if st.il1 != nil && fs.Switch(line) {
-				curLine, curReady, curBankFree = fs.CurLine, fs.CurReady, fs.CurBankFree
-				start := fetchAt
-				if bf := *curBankFree; bf > start {
-					conflicts += bf - start
-					start = bf
+			} else {
+				fetchSlots++
+				if fetchSlots > issueWidth {
+					fetchLast++
+					fetchAt = fetchLast
+					fetchSlots = 1
 				}
+			}
+			fetchAddr := codeBase + mem.Addr(pc)*isa.InstBytes
+			var fetchDone int64
+			if line := fetchAddr >> il1Shift; line == curLine {
+				cpos := pos64(*curBankFree - fetchAt) // bank-conflict delay, 0 when free
+				conflicts += cpos
+				start := fetchAt + cpos
 				fetchDone = start + lat
 				*curBankFree = start + ival
 				seq++
-				if fetchDone < curReady {
-					huf += curReady - fetchDone
-					fetchDone = curReady
+				hpos := pos64(curReady - fetchDone) // hit-under-fill cap, 0 when filled
+				huf += hpos
+				fetchDone += hpos
+			} else {
+				// Line switch: sync the stream's counters (Switch may flush a
+				// slot or Close, both of which read them), then reload every
+				// local from the stream's post-switch state. Without a bare
+				// IL1 the stream stays closed and every fetch lands here.
+				fs.Seq, fs.Conflicts, fs.HUF = seq, conflicts, huf
+				if st.il1 != nil && fs.Switch(line) {
+					curLine, curReady, curBankFree = fs.CurLine, fs.CurReady, fs.CurBankFree
+					start := fetchAt
+					if bf := *curBankFree; bf > start {
+						conflicts += bf - start
+						start = bf
+					}
+					fetchDone = start + lat
+					*curBankFree = start + ival
+					seq++
+					if fetchDone < curReady {
+						huf += curReady - fetchDone
+						fetchDone = curReady
+					}
+				} else {
+					fetchDone = imem.Access(fetchAt, mem.Req{Addr: fetchAddr, Bytes: isa.InstBytes, Kind: mem.Fetch})
+					curLine, curReady, curBankFree = fs.CurLine, fs.CurReady, fs.CurBankFree
+					seq, conflicts, huf = fs.Seq, fs.Conflicts, fs.HUF
+				}
+			}
+
+			base := max(fetchDone, redirectAt)
+			fetchStall += pos64(fetchDone - (lastIssue + 1))
+
+			pk := max(ready[d.srcA], ready[d.srcB], ready[d.srcD])
+			opnd := pk >> 1
+
+			// An operand stall is charged to loads exactly when the packed
+			// maximum carries the load bit; -(pk&1) is its all-ones mask.
+			issue := base
+			rpos := pos64(opnd - issue)
+			readStall += rpos & -(pk & 1)
+			issue += rpos
+			if d.flags&dfDiv != 0 && divFree > issue {
+				issue = divFree
+			}
+			if m := d.mem; m != 0 {
+				if m == 's' {
+					wpos := pos64(sbuf[sbHead] - issue)
+					writeStall += wpos
+					issue += wpos
+				} else if m == 'l' {
+					lpos := pos64(lq[lqHead] - issue)
+					readStall += lpos
+					issue += lpos
+				}
+			}
+
+			issue = max(issue, lastIssue)
+			if issue == lastIssue {
+				if slotsUsed >= issueWidth {
+					issue++
+					slotsUsed = 1
+				} else {
+					slotsUsed++
 				}
 			} else {
-				fetchDone = imem.Access(fetchAt, mem.Req{Addr: fetchAddr, Bytes: isa.InstBytes, Kind: mem.Fetch})
-				curLine, curReady, curBankFree = fs.CurLine, fs.CurReady, fs.CurBankFree
-				seq, conflicts, huf = fs.Seq, fs.Conflicts, fs.HUF
-			}
-		}
-
-		base := max(fetchDone, redirectAt)
-		fetchStall += pos64(fetchDone - (lastIssue + 1))
-
-		pk := max(ready[d.srcA], ready[d.srcB], ready[d.srcD])
-		opnd := pk >> 1
-
-		// An operand stall is charged to loads exactly when the packed
-		// maximum carries the load bit; -(pk&1) is its all-ones mask.
-		issue := base
-		rpos := pos64(opnd - issue)
-		readStall += rpos & -(pk & 1)
-		issue += rpos
-		if d.flags&dfDiv != 0 && divFree > issue {
-			issue = divFree
-		}
-		if m := d.mem; m != 0 {
-			if m == 's' {
-				wpos := pos64(sbuf[sbHead] - issue)
-				writeStall += wpos
-				issue += wpos
-			} else if m == 'l' {
-				lpos := pos64(lq[lqHead] - issue)
-				readStall += lpos
-				issue += lpos
-			}
-		}
-
-		issue = max(issue, lastIssue)
-		if issue == lastIssue {
-			if slotsUsed >= issueWidth {
-				issue++
 				slotsUsed = 1
-			} else {
-				slotsUsed++
 			}
-		} else {
-			slotsUsed = 1
-		}
-		lastIssue = issue
+			lastIssue = issue
 
-		done := issue + int64(d.lat)
-		var loadBit int64
-		if d.mem != 0 {
-			switch d.mem {
-			case 'l':
-				done = dmem.Access(issue+1, mem.Req{Addr: mem.Addr(addrs[i]), Bytes: int(d.accessBytes), Kind: mem.Read})
-				loadBit = 1
-				lq[lqHead] = done
-				if lqHead++; lqHead == lqDepth {
-					lqHead = 0
+			done := issue + int64(d.lat)
+			var loadBit int64
+			if d.mem != 0 {
+				switch d.mem {
+				case 'l':
+					done = dmem.Access(issue+1, mem.Req{Addr: addr, Bytes: int(d.accessBytes), Kind: mem.Read})
+					loadBit = 1
+					lq[lqHead] = done
+					if lqHead++; lqHead == lqDepth {
+						lqHead = 0
+					}
+				case 's':
+					start := max(issue+1, drainTail)
+					retire := dmem.Access(start, mem.Req{Addr: addr, Bytes: int(d.accessBytes), Kind: mem.Write})
+					drainTail = retire
+					sbuf[sbHead] = retire
+					if sbHead++; sbHead == sbDepth {
+						sbHead = 0
+					}
+					done = issue + 1
+				case 'p':
+					dmem.Access(issue+1, mem.Req{Addr: addr, Bytes: int(d.accessBytes), Kind: mem.Prefetch})
+					done = issue + 1
 				}
-			case 's':
-				start := max(issue+1, drainTail)
-				retire := dmem.Access(start, mem.Req{Addr: mem.Addr(addrs[i]), Bytes: int(d.accessBytes), Kind: mem.Write})
-				drainTail = retire
-				sbuf[sbHead] = retire
-				if sbHead++; sbHead == sbDepth {
-					sbHead = 0
+			}
+
+			if d.flags&dfDiv != 0 {
+				divFree = done
+			}
+
+			if first+j == nextMp {
+				redirectAt = issue + 1 + st.penalty
+				nextMp = -1
+				if mpK++; mpK < len(mpIdx) {
+					nextMp = int(mpIdx[mpK])
 				}
-				done = issue + 1
-			case 'p':
-				dmem.Access(issue+1, mem.Req{Addr: mem.Addr(addrs[i]), Bytes: int(d.accessBytes), Kind: mem.Prefetch})
-				done = issue + 1
 			}
-		}
 
-		if d.flags&dfDiv != 0 {
-			divFree = done
+			ready[d.dst] = done<<1 | loadBit
+			maxDone = max(maxDone, done)
 		}
-
-		if i == nextMp {
-			redirectAt = issue + 1 + st.penalty
-			nextMp = -1
-			if mpK++; mpK < len(mpIdx) {
-				nextMp = int(mpIdx[mpK])
-			}
-		}
-
-		ready[d.dst] = done<<1 | loadBit
-		maxDone = max(maxDone, done)
+		lo = first + end
 	}
 	fs.Seq, fs.Conflicts, fs.HUF = seq, conflicts, huf
 	st.lastIssue = lastIssue

@@ -10,16 +10,18 @@ import (
 	"sttdl1/internal/mem"
 )
 
-// kernelProg is a loop that exercises every record class the replay
-// kernel times: scalar and vector loads and stores, prefetches, the
-// unpipelined divider, a data-dependent conditional branch the 2-bit
-// predictor partly mispredicts, and a BL/JR round trip.
-func kernelProg() *isa.Program {
+// kernelProg is a loop, run reps times over, that exercises every
+// record class the replay kernel times: scalar and vector loads and
+// stores, prefetches, the unpipelined divider, a data-dependent
+// conditional branch the 2-bit predictor partly mispredicts, and a
+// BL/JR round trip. One rep retires about 2,750 records.
+func kernelProg(reps int32) *isa.Program {
 	return &isa.Program{DataSize: 8192, Insts: []isa.Inst{
-		{Op: isa.OpMOVI, Rd: 1, Imm: 0},
-		{Op: isa.OpMOVI, Rd: 2, Imm: 1024},
 		{Op: isa.OpMOVI, Rd: 5, Imm: 0},
-		{Op: isa.OpLDR, Rd: 3, Ra: 1, Imm: 0}, // 3: loop top
+		{Op: isa.OpMOVI, Rd: 8, Imm: reps},
+		{Op: isa.OpMOVI, Rd: 1, Imm: 0}, // 2: rep top
+		{Op: isa.OpMOVI, Rd: 2, Imm: 1024},
+		{Op: isa.OpLDR, Rd: 3, Ra: 1, Imm: 0}, // 4: loop top
 		{Op: isa.OpADD, Rd: 5, Ra: 5, Rb: 3},
 		{Op: isa.OpPLD, Ra: 1, Imm: 256},
 		{Op: isa.OpVLDR, Rd: 2, Ra: 1, Imm: 1024},
@@ -29,11 +31,13 @@ func kernelProg() *isa.Program {
 		{Op: isa.OpBEQ, Ra: 7, Rb: isa.ZR, Imm: 1}, // skip the divide
 		{Op: isa.OpDIV, Rd: 9, Ra: 5, Rb: 2},
 		{Op: isa.OpADDI, Rd: 1, Ra: 1, Imm: 4},
-		{Op: isa.OpBNE, Ra: 1, Rb: 2, Imm: -11}, // back to 3
-		{Op: isa.OpBL, Imm: 1},                  // call 16
-		{Op: isa.OpHALT},                        // 15
-		{Op: isa.OpMOVI, Rd: 6, Imm: 7},         // 16: callee
-		{Op: isa.OpJR, Ra: isa.LR},              // return to 15
+		{Op: isa.OpBNE, Ra: 1, Rb: 2, Imm: -11}, // back to 4
+		{Op: isa.OpADDI, Rd: 8, Ra: 8, Imm: -1},
+		{Op: isa.OpBNE, Ra: 8, Rb: isa.ZR, Imm: -15}, // back to 2
+		{Op: isa.OpBL, Imm: 1},                       // call 19
+		{Op: isa.OpHALT},                             // 18
+		{Op: isa.OpMOVI, Rd: 6, Imm: 7},              // 19: callee
+		{Op: isa.OpJR, Ra: isa.LR},                   // return to 18
 	}}
 }
 
@@ -83,9 +87,10 @@ func timingOf(r *Result) Result {
 // Direct front end and a buffered (VWB) one — with the IL1 bare and
 // wrapped, against live execution: every Result counter, the traffic
 // each cache saw and the front end's own stats must be identical. For
-// Direct, those stats are its per-access class counts.
+// Direct, those stats are its per-access class counts. The trace spans
+// three chunks, so the kernel's state crosses two chunk boundaries.
 func TestReplayMatchesLive(t *testing.T) {
-	prog := kernelProg()
+	prog := kernelProg(50)
 	tr, err := Capture(prog, NewState(prog), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +112,7 @@ func TestReplayMatchesLive(t *testing.T) {
 				t.Fatal(err)
 			}
 			rep := newKernelSystem(tc.wrapIL1, tc.direct)
-			got, err := (&CPU{Cfg: DefaultConfig(), IMem: rep.imem, DMem: rep.fe}).ReplayTrace(prog, tr)
+			got, err := (&CPU{Cfg: DefaultConfig(), IMem: rep.imem, DMem: rep.fe}).ReplayTrace(tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -134,7 +139,7 @@ func TestReplayMatchesLive(t *testing.T) {
 // the fetch stream closed, the instruction port is called once per
 // retired record, at the same cycles as in a live run.
 func TestReplayWrappedIL1SeesEveryFetch(t *testing.T) {
-	prog := kernelProg()
+	prog := kernelProg(1)
 	tr, err := Capture(prog, NewState(prog), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +155,7 @@ func TestReplayWrappedIL1SeesEveryFetch(t *testing.T) {
 		})
 		c := &CPU{Cfg: DefaultConfig(), IMem: imem, DMem: fastMem{3}}
 		if replay {
-			_, err = c.ReplayTrace(prog, tr)
+			_, err = c.ReplayTrace(tr)
 		} else {
 			_, err = c.Run(prog)
 		}
@@ -175,33 +180,81 @@ func TestReplayWrappedIL1SeesEveryFetch(t *testing.T) {
 
 // TestReplayBudgetFault checks the budgeted partial result: a trace
 // longer than MaxInsts replays its first MaxInsts records and reports
-// the same budget Fault as live execution.
+// the same budget Fault and counters as live execution. The budgets
+// straddle the first chunk boundary, so the cut falls on the last
+// record of a chunk, on a boundary and on the first record of the next.
 func TestReplayBudgetFault(t *testing.T) {
-	prog := kernelProg()
+	prog := kernelProg(50)
 	tr, err := Capture(prog, NewState(prog), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.MaxInsts = uint64(tr.Len() / 2)
-	c := &CPU{Cfg: cfg, IMem: fastMem{1}, DMem: fastMem{1}}
-	res, err := c.ReplayTrace(prog, tr)
-	if err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("replay err = %v, want a budget fault", err)
+	if tr.Len() <= 2*chunkRecs {
+		t.Fatalf("trace has %d records, want more than two chunks", tr.Len())
 	}
-	if res == nil || res.Insts != cfg.MaxInsts {
-		t.Fatalf("partial result = %+v, want %d insts", res, cfg.MaxInsts)
+	for _, budget := range []uint64{chunkRecs - 1, chunkRecs, chunkRecs + 1} {
+		cfg := DefaultConfig()
+		cfg.MaxInsts = budget
+		c := &CPU{Cfg: cfg, IMem: fastMem{1}, DMem: fastMem{1}}
+		res, err := c.ReplayTrace(tr)
+		if err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Fatalf("budget %d: replay err = %v, want a budget fault", budget, err)
+		}
+		if res == nil || res.Insts != budget {
+			t.Fatalf("budget %d: partial result = %+v, want %d insts", budget, res, budget)
+		}
+		live, liveErr := c.Run(prog)
+		if liveErr == nil || liveErr.Error() != err.Error() {
+			t.Errorf("budget %d: live err = %v, replay err = %v", budget, liveErr, err)
+		}
+		want := tr.count(int(budget))
+		if res.Loads != want.loads || res.Stores != want.stores || res.Branches != want.branches {
+			t.Errorf("budget %d: partial counters %+v, want those of the %d-record prefix", budget, timingOf(res), budget)
+		}
+		if live.Insts != res.Insts || live.Loads != res.Loads || live.Stores != res.Stores {
+			t.Errorf("budget %d: partial counters: replay %+v, live %+v", budget, timingOf(res), timingOf(live))
+		}
 	}
-	live, liveErr := c.Run(prog)
-	if liveErr == nil || liveErr.Error() != err.Error() {
-		t.Errorf("live err = %v, replay err = %v", liveErr, err)
+}
+
+// TestReplayCtlProbesAcrossChunks runs a multi-chunk trace under probes
+// that never fire, at intervals that put a probe point next to each
+// chunk boundary: the pass must equal the probe-free replay counter for
+// counter, cache statistic for cache statistic.
+func TestReplayCtlProbesAcrossChunks(t *testing.T) {
+	prog := kernelProg(50)
+	tr, err := Capture(prog, NewState(prog), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := countTrace(tr.PCs[:cfg.MaxInsts], tr.dec)
-	if res.Loads != want.loads || res.Stores != want.stores || res.Branches != want.branches {
-		t.Errorf("partial counters %+v, want those of the %d-record prefix", timingOf(res), cfg.MaxInsts)
+	whole := newKernelSystem(false, false)
+	want, err := (&CPU{Cfg: DefaultConfig(), IMem: whole.imem, DMem: whole.fe}).ReplayTrace(tr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if live.Insts != res.Insts || live.Loads != res.Loads || live.Stores != res.Stores {
-		t.Errorf("partial counters: replay %+v, live %+v", timingOf(res), timingOf(live))
+	probed := newKernelSystem(false, false)
+	probes := 0
+	ctl := &ReplayCtl{
+		CheckEvery:     chunkRecs - 1,
+		Abort:          func(int64) bool { probes++; return false },
+		Interrupt:      func() error { return nil },
+		InterruptEvery: chunkRecs + 1,
+	}
+	got, aborted, err := (&CPU{Cfg: DefaultConfig(), IMem: probed.imem, DMem: probed.fe}).ReplayTraceCtl(tr, ctl)
+	if err != nil || aborted {
+		t.Fatalf("probed replay: aborted %t, err %v", aborted, err)
+	}
+	if probes != tr.Len()/(chunkRecs-1) {
+		t.Errorf("Abort probed %d times, want %d", probes, tr.Len()/(chunkRecs-1))
+	}
+	if timingOf(got) != timingOf(want) {
+		t.Errorf("probed %+v\nwhole  %+v", timingOf(got), timingOf(want))
+	}
+	if g, w := probed.il1.Stats(), whole.il1.Stats(); g != w {
+		t.Errorf("IL1 stats: probed %+v, whole %+v", g, w)
+	}
+	if g, w := probed.dl1.Stats(), whole.dl1.Stats(); g != w {
+		t.Errorf("DL1 stats: probed %+v, whole %+v", g, w)
 	}
 }
 

@@ -30,22 +30,17 @@ import (
 )
 
 // Trace is the retired-instruction stream of one functional execution.
-// PCs, Addrs and Taken are parallel: record i retired the instruction at
-// PCs[i], accessed byte address Addrs[i] if it was a memory op, and
-// redirected control flow iff bit i of Taken is set. A Trace is
-// immutable after construction and safe for concurrent replay.
+// Record i retired the instruction at pc i, accessed byte address
+// addr i if it was a memory op, and redirected control flow iff its
+// taken bit is set. The records live in the fixed-size chunks Capture
+// fills (record i is entry i mod chunkRecs of chunk i / chunkRecs;
+// every chunk but the last is full). A Trace is immutable after
+// construction and safe for concurrent replay.
 type Trace struct {
-	// PCs is the program-counter stream (indexes into prog.Insts).
-	PCs []int32
-	// Addrs is the effective byte address per record (0 for non-memory
-	// instructions).
-	Addrs []uint32
-	// Taken is a bitset over records: bit i set means record i redirected
-	// control flow (taken branch, call, indirect jump).
-	Taken []uint64
+	chunks []*traceChunk
+	n      int
 	// Final is the architectural state after the run. It is shared by
 	// every replay Result consuming this trace and must not be mutated.
-	// Traces rebuilt from a serialized stream carry no final state (nil).
 	Final *State
 
 	dec []decoded
@@ -55,7 +50,23 @@ type Trace struct {
 	counts traceCounts
 
 	mu      sync.Mutex
-	mispred map[int]mispredSet // bpred table size -> mispredict bitset
+	mispred map[int]mispredSet // bpred table size -> mispredicted records
+}
+
+// Trace records are stored in chunks of chunkRecs records: traces run
+// to millions of records, and fixed-size chunks grow a capture without
+// append's multi-megabyte copies or its unused tail capacity.
+const (
+	chunkShift = 16
+	chunkRecs  = 1 << chunkShift
+	chunkMask  = chunkRecs - 1
+)
+
+// traceChunk holds chunkRecs consecutive records of a trace.
+type traceChunk struct {
+	pcs   [chunkRecs]int32  // program counter (index into prog.Insts)
+	addrs [chunkRecs]uint32 // effective byte address (0 for non-memory)
+	taken [chunkRecs / 64]uint64
 }
 
 // traceCounts are the Result counters that depend only on the retired
@@ -75,10 +86,26 @@ type mispredSet struct {
 }
 
 // Len returns the number of retired instructions in the trace.
-func (t *Trace) Len() int { return len(t.PCs) }
+func (t *Trace) Len() int { return t.n }
+
+// Chunks returns the number of chunks the trace's records are stored in.
+func (t *Trace) Chunks() int { return len(t.chunks) }
+
+// Chunk returns the records of chunk k: the PCs, effective addresses and
+// taken bitset (bit j of the bitset is record j of the chunk) of records
+// k*chunkRecs up to the next chunk or the end of the trace. The slices
+// alias the trace and must not be modified.
+func (t *Trace) Chunk(k int) (pcs []int32, addrs []uint32, taken []uint64) {
+	c := t.chunks[k]
+	m := min(t.n-k*chunkRecs, chunkRecs)
+	return c.pcs[:m], c.addrs[:m], c.taken[:(m+63)/64]
+}
 
 // TakenAt reports whether record i redirected control flow.
-func (t *Trace) TakenAt(i int) bool { return t.Taken[i>>6]&(1<<uint(i&63)) != 0 }
+func (t *Trace) TakenAt(i int) bool {
+	j := i & chunkMask
+	return t.chunks[i>>chunkShift].taken[j>>6]&(1<<uint(j&63)) != 0
+}
 
 // decoded is the per-PC static portion of the timing model: everything
 // RunState derives from the instruction word each time it retires. It
@@ -165,47 +192,35 @@ func decodeProg(prog *isa.Program) []decoded {
 	return dec
 }
 
-// countTrace tallies the configuration-invariant retirement statistics of
-// a PC stream.
-func countTrace(pcs []int32, dec []decoded) traceCounts {
+// count tallies the configuration-invariant retirement statistics of
+// the trace's first n records.
+func (t *Trace) count(n int) traceCounts {
 	var tc traceCounts
-	for _, pc := range pcs {
-		d := &dec[pc]
-		switch d.mem {
-		case 'l':
-			tc.loads++
-			if d.flags&dfVec != 0 {
-				tc.vecLoads++
+	for k := 0; k*chunkRecs < n; k++ {
+		pcs, _, _ := t.Chunk(k)
+		for _, pc := range pcs[:min(len(pcs), n-k*chunkRecs)] {
+			d := &t.dec[pc]
+			switch d.mem {
+			case 'l':
+				tc.loads++
+				if d.flags&dfVec != 0 {
+					tc.vecLoads++
+				}
+			case 's':
+				tc.stores++
+				if d.flags&dfVec != 0 {
+					tc.vecStores++
+				}
+			case 'p':
+				tc.prefetches++
 			}
-		case 's':
-			tc.stores++
-			if d.flags&dfVec != 0 {
-				tc.vecStores++
+			if d.flags&dfBranch != 0 {
+				tc.branches++
 			}
-		case 'p':
-			tc.prefetches++
-		}
-		if d.flags&dfBranch != 0 {
-			tc.branches++
 		}
 	}
 	return tc
 }
-
-// chunkRecs is the record capacity of one capture chunk.
-const chunkRecs = 1 << 16
-
-// captureChunk buffers chunkRecs records of a capture in progress. Its
-// taken bits are set with |=, so a chunk enters chunkPool with them
-// cleared; the PCs and addresses are overwritten record by record.
-type captureChunk struct {
-	pcs   [chunkRecs]int32
-	addrs [chunkRecs]uint32
-	taken [chunkRecs / 64]uint64
-}
-
-// chunkPool recycles capture chunks (532 KB each) across captures.
-var chunkPool = sync.Pool{New: func() any { return new(captureChunk) }}
 
 // Capture executes prog functionally (no timing) from st until HALT and
 // records the retired-instruction stream. The trace is independent of
@@ -215,23 +230,10 @@ func Capture(prog *isa.Program, st *State, maxInsts uint64) (*Trace, error) {
 	if maxInsts == 0 {
 		maxInsts = DefaultConfig().MaxInsts
 	}
-	// Records are collected in fixed-size chunks and assembled into
-	// exact-size slices once at HALT: traces run to millions of records,
-	// where append's growth factor both churns multi-megabyte copies and
-	// strands up to a quarter of the final capacity in the long-lived
-	// trace cache. The chunks go back to chunkPool on every return.
-	var chunks []*captureChunk
-	defer func() {
-		for _, c := range chunks {
-			clear(c.taken[:])
-			chunkPool.Put(c)
-		}
-	}()
-	var cur *captureChunk
-	fill := chunkRecs // records in the current chunk (full = rotate)
-	var n uint64
+	t := &Trace{}
+	var cur *traceChunk
 	for !st.Halted {
-		if n >= maxInsts {
+		if uint64(t.n) >= maxInsts {
 			return nil, st.fault(st.PC, isa.Inst{}, "instruction budget %d exhausted (runaway loop?)", maxInsts)
 		}
 		pc := st.PC
@@ -239,69 +241,28 @@ func Capture(prog *isa.Program, st *State, maxInsts uint64) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		if fill == chunkRecs {
-			cur = chunkPool.Get().(*captureChunk)
-			chunks = append(chunks, cur)
-			fill = 0
+		j := t.n & chunkMask
+		if j == 0 {
+			cur = new(traceChunk)
+			t.chunks = append(t.chunks, cur)
 		}
-		cur.pcs[fill] = int32(pc)
-		cur.addrs[fill] = info.Addr
+		cur.pcs[j] = int32(pc)
+		cur.addrs[j] = info.Addr
 		if info.Taken {
-			cur.taken[fill>>6] |= 1 << uint(fill&63)
+			cur.taken[j>>6] |= 1 << uint(j&63)
 		}
-		fill++
-		n++
-	}
-	t := &Trace{
-		PCs:   make([]int32, n),
-		Addrs: make([]uint32, n),
-		Taken: make([]uint64, (n+63)/64),
-	}
-	for ci, c := range chunks {
-		base := ci * chunkRecs
-		m := copy(t.PCs[base:], c.pcs[:])
-		copy(t.Addrs[base:], c.addrs[:m])
-		copy(t.Taken[base/64:], c.taken[:(m+63)/64])
+		t.n++
 	}
 	t.Final = st
 	t.dec = decodeProg(prog)
-	t.counts = countTrace(t.PCs, t.dec)
+	t.counts = t.count(t.n)
 	return t, nil
 }
 
-// NewTrace rebuilds a replayable trace from its raw streams (the decode
-// side of a serialized trace). Every PC must fall inside prog; the
-// rebuilt trace has no Final state.
-func NewTrace(prog *isa.Program, pcs []int32, addrs []uint32, taken []uint64) (*Trace, error) {
-	if len(pcs) != len(addrs) {
-		return nil, fmt.Errorf("cpu: trace streams disagree: %d PCs, %d addrs", len(pcs), len(addrs))
-	}
-	if want := (len(pcs) + 63) / 64; len(taken) < want {
-		return nil, fmt.Errorf("cpu: taken bitset too short: %d words < %d", len(taken), want)
-	}
-	for i, pc := range pcs {
-		if pc < 0 || int(pc) >= len(prog.Insts) {
-			return nil, fmt.Errorf("cpu: trace record %d: pc %d outside program (0..%d)", i, pc, len(prog.Insts)-1)
-		}
-	}
-	dec := decodeProg(prog)
-	return &Trace{PCs: pcs, Addrs: addrs, Taken: taken, dec: dec, counts: countTrace(pcs, dec)}, nil
-}
-
-// decode returns the trace's decode table and retirement counts,
-// rebuilding them from prog for a trace that carries none.
-func (t *Trace) decode(prog *isa.Program) ([]decoded, traceCounts) {
-	if t.dec == nil {
-		dec := decodeProg(prog)
-		return dec, countTrace(t.PCs, dec)
-	}
-	return t.dec, t.counts
-}
-
 // mispredicts returns (computing and memoizing on first use) the
-// mispredict bitset for a predictor table of the given size: bit i set
-// means record i is a branch the 2-bit predictor gets wrong, or an
-// indirect jump. The stream depends only on the trace and the table
+// sorted indexes of the records a predictor table of the given size
+// gets wrong: branches the 2-bit predictor mispredicts, and indirect
+// jumps. The stream depends only on the trace and the table
 // size — never on cache or core timing — so every configuration
 // replaying this trace shares it.
 func (t *Trace) mispredicts(entries int) mispredSet {
@@ -315,16 +276,20 @@ func (t *Trace) mispredicts(entries int) mispredSet {
 	}
 	pred := newBpred(entries)
 	var idx []int32
-	for i, pc := range t.PCs {
-		d := &t.dec[pc]
-		if d.flags&dfCondBr != 0 {
-			taken := t.TakenAt(i)
-			if pred.predict(int(pc)) != taken {
+	for k := range t.chunks {
+		pcs, _, _ := t.Chunk(k)
+		for j, pc := range pcs {
+			i := k*chunkRecs + j
+			d := &t.dec[pc]
+			if d.flags&dfCondBr != 0 {
+				taken := t.TakenAt(i)
+				if pred.predict(int(pc)) != taken {
+					idx = append(idx, int32(i))
+				}
+				pred.update(int(pc), taken)
+			} else if d.flags&dfJR != 0 {
 				idx = append(idx, int32(i))
 			}
-			pred.update(int(pc), taken)
-		} else if d.flags&dfJR != 0 {
-			idx = append(idx, int32(i))
 		}
 	}
 	ms := mispredSet{idx: idx}
@@ -377,8 +342,8 @@ type ReplayCtl struct {
 //
 // The returned Result shares the trace's Final architectural state; it
 // must be treated as read-only.
-func (c *CPU) ReplayTrace(prog *isa.Program, tr *Trace) (*Result, error) {
-	res, _, err := c.ReplayTraceCtl(prog, tr, nil)
+func (c *CPU) ReplayTrace(tr *Trace) (*Result, error) {
+	res, _, err := c.ReplayTraceCtl(tr, nil)
 	return res, err
 }
 
@@ -393,15 +358,15 @@ func (c *CPU) ReplayTrace(prog *isa.Program, tr *Trace) (*Result, error) {
 // ReplayTrace.
 //
 // The pass runs on the replay kernel (kernel.go), and this driver walks
-// the trace in chunks bounded by the next Abort/Interrupt probe point,
+// the trace in record ranges bounded by the next Abort/Interrupt probe
+// point,
 // so the loop itself carries no probe arithmetic: a probe every K
 // records is a kernel call of K records, and the common probe-free
 // replay is a single kernel call over the whole trace.
-func (c *CPU) ReplayTraceCtl(prog *isa.Program, tr *Trace, ctl *ReplayCtl) (*Result, bool, error) {
-	st := newReplayState(c, prog, tr)
+func (c *CPU) ReplayTraceCtl(tr *Trace, ctl *ReplayCtl) (*Result, bool, error) {
+	st := newReplayState(c, tr)
 
-	pcs := tr.PCs
-	n := len(pcs)
+	n := tr.Len()
 	budgeted := uint64(n) > st.maxInsts
 	if budgeted {
 		n = int(st.maxInsts)
@@ -456,7 +421,8 @@ func (c *CPU) ReplayTraceCtl(prog *isa.Program, tr *Trace, ctl *ReplayCtl) (*Res
 
 	res := st.finish(n)
 	if budgeted {
-		return res, false, &Fault{PC: int(pcs[n]), Msg: fmt.Sprintf("instruction budget %d exhausted (runaway loop?)", st.maxInsts)}
+		pc := tr.chunks[n>>chunkShift].pcs[n&chunkMask] // the first record past the budget
+		return res, false, &Fault{PC: int(pc), Msg: fmt.Sprintf("instruction budget %d exhausted (runaway loop?)", st.maxInsts)}
 	}
 	return res, aborted, nil
 }

@@ -6,8 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"sttdl1/internal/compile"
+	"sttdl1/internal/cpu"
 	"sttdl1/internal/dse"
 	"sttdl1/internal/polybench"
+	"sttdl1/internal/sim"
 	"sttdl1/internal/stats"
 )
 
@@ -386,5 +389,72 @@ func TestColdSliceWarmUps(t *testing.T) {
 	}
 	if got, want := s.WarmUps(), 11*len(s.Benches); got != want {
 		t.Errorf("%d warm-ups over %d kernels, want %d", got, len(s.Benches), want)
+	}
+}
+
+// TestSuiteMemoKeyCoversDesignFields runs a kernel under a base design,
+// then under variants that each change one field the memo key once left
+// out: the suite that ran the base must return each variant's own
+// result, which a fresh suite computes, not the base's. A variant that
+// only renames the base or restates a resolved default is the same
+// design and must share the base's simulation.
+func TestSuiteMemoKeyCoversDesignFields(t *testing.T) {
+	b, _ := polybench.ByName("atax")
+	b.Default = 40
+	benches := []polybench.Bench{b}
+	base := sim.ProposalVWB()
+	base.CPU = cpu.DefaultConfig()
+	opt := base
+	opt.Compile = compile.AllOptimizations()
+	s := NewSuiteJobs(benches, 1)
+	for _, v := range []struct {
+		name string
+		from sim.Config // the design the variant changes one field of
+		set  func(*sim.Config)
+	}{
+		{"FreqGHz", base, func(c *sim.Config) { c.FreqGHz = 2 }},
+		{"CPU.IssueWidth", base, func(c *sim.Config) { c.CPU.IssueWidth = 1 }},
+		{"CPU.MispredictPenalty", base, func(c *sim.Config) { c.CPU.MispredictPenalty = 40 }},
+		{"CPU.LoadQueueDepth", base, func(c *sim.Config) { c.CPU.LoadQueueDepth = 1 }},
+		{"CPU.BpredEntries", base, func(c *sim.Config) { c.CPU.BpredEntries = 2 }},
+		{"Compile.LineSize", opt, func(c *sim.Config) { c.Compile.LineSize = 32 }},
+	} {
+		fromCycles, err := s.Cycles(b, v.from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := v.from
+		v.set(&cfg)
+		got, err := s.Cycles(b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := NewSuiteJobs(benches, 1).Cycles(b, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: suite returned %d cycles, a fresh suite %d", v.name, got, want)
+		}
+		if want == fromCycles {
+			t.Errorf("%s: the variant runs the unchanged design's %d cycles, so it cannot tell the keys apart", v.name, want)
+		}
+	}
+
+	baseCycles, err := s.Cycles(b, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := base
+	same.Name = "renamed"
+	same.DL1ReadLat = sim.Canonical(base).DL1ReadLat
+	before := s.SimsRun()
+	got, err := s.Cycles(b, same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != baseCycles || s.SimsRun() != before {
+		t.Errorf("restated base: %d cycles in %d new simulation(s), want the base's %d in none",
+			got, s.SimsRun()-before, baseCycles)
 	}
 }

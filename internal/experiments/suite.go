@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"sttdl1/internal/compile"
 	"sttdl1/internal/energy"
@@ -127,10 +126,10 @@ func (s *Suite) WarmUps() int { return s.traces.WarmUps() }
 // storeKey derives the content address of (b, cfg) under the persistent
 // store: the kernel variant's functional digest (memoized compile,
 // shared with replay — never a capture), the canonical configuration
-// key, and the energy model parameters. ok is false when the store is
-// off or the configuration has no valid model or does not compile —
-// those runs simply skip the store tier.
-func (s *Suite) storeKey(ctx context.Context, b polybench.Bench, cfg sim.Config) (store.Key, bool) {
+// key canon (sim.CanonicalKey of cfg), and the energy model parameters.
+// ok is false when the store is off or the configuration has no valid
+// model or does not compile — those runs simply skip the store tier.
+func (s *Suite) storeKey(ctx context.Context, b polybench.Bench, cfg sim.Config, canon string) (store.Key, bool) {
 	if s.store == nil {
 		return store.Key{}, false
 	}
@@ -142,8 +141,7 @@ func (s *Suite) storeKey(ctx context.Context, b polybench.Bench, cfg sim.Config)
 	if err != nil {
 		return store.Key{}, false
 	}
-	benchKey := b.Name + "@" + strconv.Itoa(b.Default)
-	return store.KeyFor(benchKey, digest, sim.CanonicalKey(cfg), modelKey), true
+	return store.KeyFor(benchKey(b), digest, canon, modelKey), true
 }
 
 // Stored reports whether a valid persistent-store entry exists for
@@ -153,15 +151,16 @@ func (s *Suite) storeKey(ctx context.Context, b polybench.Bench, cfg sim.Config)
 // memoized store-hitting path instead of abortable replay.
 func (s *Suite) Stored(b polybench.Bench, cfg sim.Config) bool {
 	cfg = s.applyCheck(cfg)
-	key, ok := s.storeKey(s.ctx, b, cfg)
+	key, ok := s.storeKey(s.ctx, b, cfg, sim.CanonicalKey(cfg))
 	return ok && s.store.Contains(key)
 }
 
 // execute performs one simulation: the persistent store tier first
 // (when installed), then trace replay. The returned bool reports a
-// store hit — the timing model never ran.
-func (s *Suite) execute(ctx context.Context, b polybench.Bench, cfg sim.Config) (*sim.RunResult, bool, error) {
-	key, useStore := s.storeKey(ctx, b, cfg)
+// store hit — the timing model never ran. canon is sim.CanonicalKey of
+// cfg.
+func (s *Suite) execute(ctx context.Context, b polybench.Bench, cfg sim.Config, canon string) (*sim.RunResult, bool, error) {
+	key, useStore := s.storeKey(ctx, b, cfg, canon)
 	if useStore {
 		if rec, ok := s.store.Get(key); ok {
 			// A fresh run reports the defaults-resolved requested config
@@ -203,94 +202,19 @@ func (s *Suite) WithContext(ctx context.Context) *Suite {
 	return &c
 }
 
-// optKey folds compile options into a cache key. Keys are built with
-// strconv appends rather than fmt — runKey sits on every memoized run
-// lookup, and Sprintf's interface boxing dominated the engine's
-// allocation count.
-func optKey(o compile.Options) string {
-	var b strings.Builder
-	b.Grow(32)
-	appendOptKey(&b, o)
-	return b.String()
-}
+// benchKey names a benchmark at its problem size. The size must be
+// part of every key: tests rebind Bench.Default, and a suite mixing
+// sizes of one bench would otherwise serve the wrong result.
+func benchKey(b polybench.Bench) string { return b.Name + "@" + strconv.Itoa(b.Default) }
 
-func appendOptKey(b *strings.Builder, o compile.Options) {
-	b.WriteByte('v')
-	b.WriteString(strconv.FormatBool(o.Vectorize))
-	b.WriteString("_p")
-	b.WriteString(strconv.FormatBool(o.Prefetch))
-	b.WriteString("_b")
-	b.WriteString(strconv.FormatBool(o.Branchless))
-	b.WriteString("_a")
-	b.WriteString(strconv.FormatBool(o.Align))
-	b.WriteString("_i")
-	b.WriteString(strconv.FormatBool(o.Interchange))
-	b.WriteString("_s")
-	b.WriteString(strconv.Itoa(o.PrefetchStreams))
-}
-
-func appendCfgKey(b *strings.Builder, c sim.Config) {
-	b.WriteString(c.DL1Cell.String())
-	b.WriteByte('_')
-	b.WriteString(c.FrontEnd.String())
-	b.WriteString("_buf")
-	b.WriteString(strconv.Itoa(c.BufferBits))
-	b.WriteString("_bank")
-	b.WriteString(strconv.Itoa(c.DL1Banks))
-	b.WriteString("_rl")
-	b.WriteString(strconv.FormatInt(c.DL1ReadLat, 10))
-	b.WriteString("_wl")
-	b.WriteString(strconv.FormatInt(c.DL1WriteLat, 10))
-	b.WriteString("_pol")
-	b.WriteString(c.VWBPolicy.String())
-	b.WriteString("_tc")
-	b.WriteString(strconv.FormatInt(c.VWBTransfer, 10))
-	b.WriteString("_bp")
-	b.WriteString(strconv.Itoa(c.BypassPredEntries))
-	b.WriteString("_sw")
-	b.WriteString(strconv.Itoa(c.SRAMWays))
-	b.WriteString("_sd")
-	b.WriteString(strconv.FormatInt(c.ShutdownInterval, 10))
-	b.WriteString("_il1")
-	b.WriteString(c.IL1Cell.String())
-	b.WriteByte('_')
-	b.WriteString(c.IL1FrontEnd.String())
-	b.WriteString("_cold")
-	b.WriteString(strconv.FormatBool(c.ColdStart))
-	b.WriteString("_sb")
-	b.WriteString(strconv.Itoa(c.CPU.StoreBufDepth))
-	b.WriteString("_chk")
-	b.WriteString(strconv.FormatBool(c.Check))
-	b.WriteByte('_')
-	appendOptKey(b, c.Compile)
-}
-
-func cfgKey(c sim.Config) string {
-	var b strings.Builder
-	// Sized above the longest key the axes render (~170 bytes with real
-	// cell names): an undersized hint costs a second allocation per key,
-	// and the memo hit path rebuilds this key on every lookup.
-	b.Grow(224)
-	appendCfgKey(&b, c)
-	return b.String()
-}
-
-func runKey(b polybench.Bench, cfg sim.Config) string {
-	var sb strings.Builder
-	sb.Grow(224 + len(b.Name))
-	sb.WriteString(b.Name)
-	// The problem size must be part of the key: tests rebind
-	// Bench.Default, and a suite mixing sizes of one bench would
-	// otherwise serve the wrong memoized result.
-	sb.WriteByte('@')
-	sb.WriteString(strconv.Itoa(b.Default))
-	sb.WriteByte('|')
-	appendCfgKey(&sb, cfg)
-	return sb.String()
-}
+// runKey is the memo key of bench b under the configuration whose
+// sim.CanonicalKey is canon. Configurations that simulate the same
+// design share it; every field the simulator reads, and the Check
+// flag, tell two keys apart.
+func runKey(b polybench.Bench, canon string) string { return benchKey(b) + "|" + canon }
 
 func runLabel(b polybench.Bench, cfg sim.Config) string {
-	return fmt.Sprintf("%s on %s/%s", b.Name, cfg.Name, optKey(cfg.Compile))
+	return b.Name + " on " + cfg.Name + "/" + sim.CompileKey(cfg.Compile)
 }
 
 // Run executes bench b under cfg (memoized, deduplicated).
@@ -303,10 +227,11 @@ func (s *Suite) Run(b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
 // not started yet).
 func (s *Suite) RunContext(ctx context.Context, b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
 	cfg = s.applyCheck(cfg)
-	key := runKey(b, cfg)
+	canon := sim.CanonicalKey(cfg)
+	key := runKey(b, canon)
 	r, err := s.pool.DoLabeled(ctx, key, runLabel(b, cfg),
 		func(ctx context.Context) (*sim.RunResult, error) {
-			r, cached, err := s.execute(ctx, b, cfg)
+			r, cached, err := s.execute(ctx, b, cfg, canon)
 			if cached {
 				s.pool.NoteCached(key)
 			}
@@ -365,6 +290,7 @@ func (s *Suite) Prefetch(benches []polybench.Bench, cfgs ...sim.Config) error {
 // identity.
 type gangMember struct {
 	key, label string
+	canon      string // sim.CanonicalKey(cfg)
 	cfg        sim.Config
 }
 
@@ -396,7 +322,8 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 	var order []groupKey
 	for _, sp := range specs {
 		cfg := s.applyCheck(sp.Config)
-		key := runKey(sp.Bench, cfg)
+		canon := sim.CanonicalKey(cfg)
+		key := runKey(sp.Bench, canon)
 		if seen[key] {
 			continue
 		}
@@ -406,14 +333,14 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 		}
 		// The warm key includes the compile options, so the bench and
 		// its problem size complete the trace identity.
-		gk := groupKey{sp.Bench.Name + "@" + strconv.Itoa(sp.Bench.Default), sim.WarmKey(cfg)}
+		gk := groupKey{benchKey(sp.Bench), sim.WarmKey(cfg)}
 		g := groups[gk]
 		if g == nil {
 			g = &group{bench: sp.Bench}
 			groups[gk] = g
 			order = append(order, gk)
 		}
-		g.members = append(g.members, gangMember{key: key, label: runLabel(sp.Bench, cfg), cfg: cfg})
+		g.members = append(g.members, gangMember{key: key, label: runLabel(sp.Bench, cfg), canon: canon, cfg: cfg})
 	}
 
 	tasks := make([]runner.Task[string, *sim.RunResult], 0, len(order))
@@ -429,7 +356,7 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 		}
 		if len(members) == 1 {
 			run = func(ctx context.Context) (*sim.RunResult, error) {
-				r, cached, err := s.execute(ctx, bench, leader.cfg)
+				r, cached, err := s.execute(ctx, bench, leader.cfg, leader.canon)
 				if cached {
 					s.pool.NoteCached(leader.key)
 				}
@@ -456,7 +383,7 @@ func (s *Suite) executeGang(ctx context.Context, b polybench.Bench, members []ga
 	cached := make([]bool, len(members))
 	var miss []int
 	for i, m := range members {
-		if key, ok := s.storeKey(ctx, b, m.cfg); ok {
+		if key, ok := s.storeKey(ctx, b, m.cfg, m.canon); ok {
 			if rec, hit := s.store.Get(key); hit {
 				rec.Result.Config = sim.ApplyDefaults(m.cfg)
 				results[i] = rec.Result
@@ -479,7 +406,7 @@ func (s *Suite) executeGang(ctx context.Context, b polybench.Bench, members []ga
 			}
 			if s.store != nil {
 				for _, i := range miss {
-					if key, ok := s.storeKey(ctx, b, members[i].cfg); ok {
+					if key, ok := s.storeKey(ctx, b, members[i].cfg, members[i].canon); ok {
 						_ = s.store.Put(key, store.NewRecord(b.Name, b.Default, results[i]))
 					}
 				}
@@ -496,7 +423,7 @@ func (s *Suite) executeGang(ctx context.Context, b polybench.Bench, members []ga
 			// per-member path, which reproduces the canonical error for the
 			// failing member while the healthy members still complete.
 			for _, i := range miss {
-				r, c, err := s.execute(ctx, b, members[i].cfg)
+				r, c, err := s.execute(ctx, b, members[i].cfg, members[i].canon)
 				if err != nil {
 					s.publishGang(members, results, cached, i)
 					return nil, err

@@ -30,7 +30,7 @@ func benchReplay(b *testing.B, bench string, mk func() sim.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(tr.PCs)))
+	b.SetBytes(int64(tr.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

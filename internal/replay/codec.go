@@ -1,25 +1,28 @@
-// Trace serialization: a compact varint stream so captured executions
-// can be stored and replayed across processes. PCs and addresses are
-// delta-encoded (zigzag) — the retired stream is overwhelmingly
-// sequential PCs and strided addresses, so deltas keep most records to
-// two or three bytes.
+// Trace serialization: a compact varint stream of a captured execution.
+// PCs and addresses are delta-encoded (zigzag) — the retired stream is
+// overwhelmingly sequential PCs and strided addresses, so deltas keep
+// most records to two or three bytes. Nothing reads the stream back:
+// the persistent store keys on the functional digest, never on trace
+// bytes (DESIGN.md §7.7). The format stays as the canonical byte form
+// of a trace, which TestFunctionalDigests hashes to pin the digest
+// against the trace it stands in for.
 package replay
 
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 
 	"sttdl1/internal/cpu"
-	"sttdl1/internal/isa"
 )
 
 // traceMagic guards the stream format; bump the trailing digit on any
 // incompatible change.
 const traceMagic = "sttrace1"
 
-// Encode writes tr to w in the versioned varint format Decode reads.
+// Encode writes tr to w in the versioned varint format: the magic, the
+// record count, every PC delta, every address delta, then the taken
+// bitset as one uvarint per 64 records.
 func Encode(w io.Writer, tr *cpu.Trace) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(traceMagic); err != nil {
@@ -40,82 +43,34 @@ func Encode(w io.Writer, tr *cpu.Trace) error {
 		return err
 	}
 	var prevPC int32
-	for _, pc := range tr.PCs {
-		if err := putVarint(int64(pc - prevPC)); err != nil {
-			return err
+	for k := range tr.Chunks() {
+		pcs, _, _ := tr.Chunk(k)
+		for _, pc := range pcs {
+			if err := putVarint(int64(pc - prevPC)); err != nil {
+				return err
+			}
+			prevPC = pc
 		}
-		prevPC = pc
 	}
 	var prevAddr uint32
-	for _, a := range tr.Addrs {
-		if err := putVarint(int64(int32(a - prevAddr))); err != nil {
-			return err
+	for k := range tr.Chunks() {
+		_, addrs, _ := tr.Chunk(k)
+		for _, a := range addrs {
+			if err := putVarint(int64(int32(a - prevAddr))); err != nil {
+				return err
+			}
+			prevAddr = a
 		}
-		prevAddr = a
 	}
-	for _, word := range tr.Taken {
-		if err := putUvarint(word); err != nil {
-			return err
+	// Chunks hold a multiple of 64 records, so their bitsets concatenate
+	// into the whole trace's.
+	for k := range tr.Chunks() {
+		_, _, taken := tr.Chunk(k)
+		for _, word := range taken {
+			if err := putUvarint(word); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
-}
-
-// Decode reads a trace in Encode's format and validates it against prog
-// (every PC must fall inside the program). The decoded trace carries no
-// final architectural state; it is replay-only.
-func Decode(r io.Reader, prog *isa.Program) (*cpu.Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("replay: reading trace header: %w", err)
-	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("replay: bad trace magic %q (want %q)", magic, traceMagic)
-	}
-	n64, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("replay: reading trace length: %w", err)
-	}
-	const maxLen = 1 << 32
-	if n64 > maxLen {
-		return nil, fmt.Errorf("replay: implausible trace length %d", n64)
-	}
-	n := int(n64)
-	// Grow the streams incrementally rather than trusting the claimed
-	// length up front: a hostile header can claim 2^32 records (a
-	// multi-GB up-front allocation) while the body holds three bytes.
-	// Each record costs at least one byte per stream, so allocation
-	// stays proportional to the bytes actually read.
-	const initCap = 1 << 16
-	pcs := make([]int32, 0, min(n, initCap))
-	var prevPC int32
-	for i := 0; i < n; i++ {
-		d, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("replay: reading pc %d: %w", i, err)
-		}
-		prevPC += int32(d)
-		pcs = append(pcs, prevPC)
-	}
-	addrs := make([]uint32, 0, min(n, initCap))
-	var prevAddr uint32
-	for i := 0; i < n; i++ {
-		d, err := binary.ReadVarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("replay: reading addr %d: %w", i, err)
-		}
-		prevAddr += uint32(int32(d))
-		addrs = append(addrs, prevAddr)
-	}
-	words := (n + 63) / 64
-	taken := make([]uint64, 0, min(words, initCap))
-	for i := 0; i < words; i++ {
-		w, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("replay: reading taken word %d: %w", i, err)
-		}
-		taken = append(taken, w)
-	}
-	return cpu.NewTrace(prog, pcs, addrs, taken)
 }

@@ -90,6 +90,14 @@ type digestLine struct {
 	variant, functional, trace string
 }
 
+// variantLabel names a kernel variant in the golden file: its
+// benchmark, problem size and every compile option.
+func variantLabel(b polybench.Bench, opts compile.Options) string {
+	return fmt.Sprintf("%s@%d|v%t_p%t_b%t_a%t_i%t_s%d_l%d", b.Name, b.Default,
+		opts.Vectorize, opts.Prefetch, opts.Branchless, opts.Align,
+		opts.Interchange, opts.PrefetchStreams, opts.LineSize)
+}
+
 // currentDigests computes every golden entry from the current code.
 // Each variant gets a fresh cache, so at most one trace is live at a
 // time.
@@ -113,7 +121,7 @@ func currentDigests(t *testing.T) []digestLine {
 			if err := Encode(h, tr); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, digestLine{key(b, opts), hex.EncodeToString(fd[:]), hex.EncodeToString(h.Sum(nil))})
+			out = append(out, digestLine{variantLabel(b, opts), hex.EncodeToString(fd[:]), hex.EncodeToString(h.Sum(nil))})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].variant < out[j].variant })

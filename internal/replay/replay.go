@@ -72,9 +72,7 @@ func NewCache() *Cache {
 // Bench.Default; the compile options must be in the key because every
 // transformation changes the instruction stream.
 func key(b polybench.Bench, opts compile.Options) string {
-	return fmt.Sprintf("%s@%d|v%t_p%t_b%t_a%t_i%t_s%d_l%d", b.Name, b.Default,
-		opts.Vectorize, opts.Prefetch, opts.Branchless, opts.Align,
-		opts.Interchange, opts.PrefetchStreams, opts.LineSize)
+	return b.Name + "@" + strconv.Itoa(b.Default) + "|" + sim.CompileKey(opts)
 }
 
 // Trace returns the compiled kernel and captured trace for b under opts,
@@ -92,7 +90,7 @@ func (c *Cache) Trace(ctx context.Context, b polybench.Bench, opts compile.Optio
 			return sim.CaptureTrace(v.ck)
 		})
 	if err != nil {
-		return nil, nil, fmt.Errorf("replay: %s: %w", b.Name, err)
+		return nil, nil, fmt.Errorf("replay: %w", err)
 	}
 	return v.ck, tr, nil
 }
@@ -137,7 +135,7 @@ func (c *Cache) variant(ctx context.Context, k string, b polybench.Bench, opts c
 			return variant{ck: ck, digest: d}, nil
 		})
 	if err != nil {
-		return variant{}, fmt.Errorf("replay: %s: %w", b.Name, err)
+		return variant{}, fmt.Errorf("replay: %w", err)
 	}
 	return v, nil
 }

@@ -6,11 +6,10 @@
 // functional interpreter stepping the timing model) over the full Fig. 3
 // configuration matrix plus random mega-space points and the
 // wrapped-IL1 configurations, over the smoke design space, and for
-// worker-count determinism and the serialized trace format.
+// worker-count determinism.
 package replay_test
 
 import (
-	"bytes"
 	"context"
 	"math/rand"
 	"reflect"
@@ -217,66 +216,5 @@ func TestReplayDeterministicAcrossWorkers(t *testing.T) {
 	parallel := smokeEval(t, 8, false)
 	if !reflect.DeepEqual(serial.Benches, parallel.Benches) || !reflect.DeepEqual(serial.Points, parallel.Points) {
 		t.Errorf("replay evaluation differs between -j 1 and -j 8:\nserial   %+v\nparallel %+v", serial.Points, parallel.Points)
-	}
-}
-
-// TestTraceEncodeDecodeRoundTrip serializes a captured trace, decodes it
-// back, and verifies both that the streams survive exactly and that the
-// decoded trace replays to the same result as the original.
-func TestTraceEncodeDecodeRoundTrip(t *testing.T) {
-	b, ok := polybench.ByName("atax")
-	if !ok {
-		t.Fatal("unknown benchmark atax")
-	}
-	cfg := sim.ProposalVWB()
-	ck, err := compile.Compile(b.Kernel(), sim.CompileOptions(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sim.CaptureTrace(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := replay.Encode(&buf, tr); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	decoded, err := replay.Decode(&buf, ck.Prog)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(tr.PCs, decoded.PCs) {
-		t.Error("PC stream did not survive the round trip")
-	}
-	if !reflect.DeepEqual(tr.Addrs, decoded.Addrs) {
-		t.Error("address stream did not survive the round trip")
-	}
-	for i := range tr.PCs {
-		if tr.TakenAt(i) != decoded.TakenAt(i) {
-			t.Fatalf("taken bit %d did not survive the round trip", i)
-		}
-	}
-
-	// The decoded trace must drive the timing model to the same result.
-	for _, mkCfg := range []func() sim.Config{sim.BaselineSRAM, sim.ProposalVWB} {
-		cfg := mkCfg()
-		sysA, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		orig, err := sysA.ReplayCompiled(ck, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sysB, err := sim.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rt, err := sysB.ReplayCompiled(ck, decoded)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualResults(t, "round-trip on "+cfg.Name, orig, rt)
 	}
 }

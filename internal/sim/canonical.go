@@ -152,6 +152,15 @@ func appendCPUKey(b *strings.Builder, c cpu.Config) {
 	b.WriteString(strconv.FormatUint(uint64(c.CodeBase), 10))
 }
 
+// CompileKey renders compile options as the field list CanonicalKey
+// embeds after "opt=". The trace cache keys kernel variants on it.
+func CompileKey(o compile.Options) string {
+	var b strings.Builder
+	b.Grow(48)
+	appendCompileKey(&b, o)
+	return b.String()
+}
+
 func appendCompileKey(b *strings.Builder, o compile.Options) {
 	b.WriteString(strconv.FormatBool(o.Vectorize))
 	b.WriteByte(',')

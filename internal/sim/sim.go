@@ -533,7 +533,7 @@ func (s *System) ReplayCompiledCtl(ck *compile.Compiled, tr *cpu.Trace, ctl *Rep
 
 // replayOnceCtl replays one (possibly partial) timing pass.
 func (s *System) replayOnceCtl(ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayCtl) (*RunResult, bool, error) {
-	res, aborted, err := s.CPU.ReplayTraceCtl(ck.Prog, tr, ctl)
+	res, aborted, err := s.CPU.ReplayTraceCtl(tr, ctl)
 	if err != nil {
 		return nil, false, fmt.Errorf("sim: %s on %s: %w", ck.Prog.Name, s.Cfg.Name, err)
 	}
@@ -683,7 +683,7 @@ func gangPass(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace,
 		for i, s := range batch {
 			cpus[i] = s.CPU
 		}
-		rs, err := cpu.ReplayTraceGang(ck.Prog, tr, cpus, interrupt, intrEvery)
+		rs, err := cpu.ReplayTraceGang(tr, cpus, interrupt, intrEvery)
 		if err != nil {
 			return nil, err
 		}

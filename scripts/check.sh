@@ -13,6 +13,9 @@ go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
 go test ./...
+# The benchmark harness is a separate module (perfbench/go.mod replaces
+# sttdl1 with this tree), so the root build and tests never compile it.
+(cd perfbench && go vet ./... && go test ./...)
 # Otherwise only go vet would ever compile the replay profiling
 # benchmarks; run each sub-benchmark once so they keep working.
 go test -run '^$' -bench BenchmarkReplayKernel -benchtime 1x ./internal/replay
