@@ -11,9 +11,9 @@
 //
 // The kernel runs records [lo, hi), so the drivers (ReplayTraceCtl,
 // ReplayTraceGang) hoist all partial-replay control — truncation, abort
-// probes, interrupt probes — out of the loop into chunk boundaries: a
+// probes, interrupt probes — out of the loop into range boundaries: a
 // probe every K records becomes a kernel call of K records, and the
-// common nil-ctl replay is a single chunk with zero per-record control
+// common nil-ctl replay is a single call with zero per-record control
 // overhead. Live execution (CPU.RunState) is the independent reference
 // the kernel is checked against (the Fig. 3 equivalence matrix in
 // internal/replay).
@@ -40,7 +40,7 @@ func pos64(d int64) int64 { return d &^ (d >> 63) }
 
 // replayState is the complete loop-carried state of one configuration's
 // timing pass, factored out of the loop so the kernel can run it in record
-// ranges (probe chunks, gang interleaving). The sbuf/lq slices alias the
+// ranges (probe intervals, gang interleaving). The sbuf/lq slices alias the
 // embedded arrays, so a replayState must not be copied once built.
 type replayState struct {
 	// Loop-carried scalars (see RunState for their meaning).
@@ -142,10 +142,11 @@ func (st *replayState) finish(n int) *Result {
 
 // run replays records [lo, hi), one inner loop per trace chunk. Three
 // mechanical loop-body strength reductions keep it fast: each chunk's
-// record arrays are re-sliced to the range's end within the chunk so
-// the per-record index is provably in bounds, the 8-byte decode entry
-// is loaded by value into a register instead of chased through a
-// pointer ten times, and the FetchStream's hot fields live in locals
+// record arrays are re-sliced to the range's end within the chunk and
+// the index starts at a masked, so non-negative, offset, which lets the
+// compiler prove the PC and address loads in bounds; the 8-byte decode
+// entry is loaded by value into a register instead of chased through a
+// pointer ten times; and the FetchStream's hot fields live in locals
 // (written back before any Switch/Close so the stream's flush
 // arithmetic stays exact).
 func (st *replayState) run(lo, hi int) {

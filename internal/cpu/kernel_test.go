@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -193,27 +194,29 @@ func TestReplayBudgetFault(t *testing.T) {
 		t.Fatalf("trace has %d records, want more than two chunks", tr.Len())
 	}
 	for _, budget := range []uint64{chunkRecs - 1, chunkRecs, chunkRecs + 1} {
-		cfg := DefaultConfig()
-		cfg.MaxInsts = budget
-		c := &CPU{Cfg: cfg, IMem: fastMem{1}, DMem: fastMem{1}}
-		res, err := c.ReplayTrace(tr)
-		if err == nil || !strings.Contains(err.Error(), "budget") {
-			t.Fatalf("budget %d: replay err = %v, want a budget fault", budget, err)
-		}
-		if res == nil || res.Insts != budget {
-			t.Fatalf("budget %d: partial result = %+v, want %d insts", budget, res, budget)
-		}
-		live, liveErr := c.Run(prog)
-		if liveErr == nil || liveErr.Error() != err.Error() {
-			t.Errorf("budget %d: live err = %v, replay err = %v", budget, liveErr, err)
-		}
-		want := tr.count(int(budget))
-		if res.Loads != want.loads || res.Stores != want.stores || res.Branches != want.branches {
-			t.Errorf("budget %d: partial counters %+v, want those of the %d-record prefix", budget, timingOf(res), budget)
-		}
-		if live.Insts != res.Insts || live.Loads != res.Loads || live.Stores != res.Stores {
-			t.Errorf("budget %d: partial counters: replay %+v, live %+v", budget, timingOf(res), timingOf(live))
-		}
+		t.Run(strconv.FormatUint(budget, 10), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.MaxInsts = budget
+			c := &CPU{Cfg: cfg, IMem: fastMem{1}, DMem: fastMem{1}}
+			res, err := c.ReplayTrace(tr)
+			if err == nil || !strings.Contains(err.Error(), "budget") {
+				t.Fatalf("replay err = %v, want a budget fault", err)
+			}
+			if res == nil || res.Insts != budget {
+				t.Fatalf("partial result = %+v, want %d insts", res, budget)
+			}
+			live, liveErr := c.Run(prog)
+			if liveErr == nil || liveErr.Error() != err.Error() {
+				t.Errorf("live err = %v, replay err = %v", liveErr, err)
+			}
+			want := tr.count(int(budget))
+			if res.Loads != want.loads || res.Stores != want.stores || res.Branches != want.branches {
+				t.Errorf("partial counters %+v, want those of the %d-record prefix", timingOf(res), budget)
+			}
+			if live.Insts != res.Insts || live.Loads != res.Loads || live.Stores != res.Stores {
+				t.Errorf("partial counters: replay %+v, live %+v", timingOf(res), timingOf(live))
+			}
+		})
 	}
 }
 

@@ -30,12 +30,12 @@ import (
 )
 
 // Trace is the retired-instruction stream of one functional execution.
-// Record i retired the instruction at pc i, accessed byte address
-// addr i if it was a memory op, and redirected control flow iff its
-// taken bit is set. The records live in the fixed-size chunks Capture
-// fills (record i is entry i mod chunkRecs of chunk i / chunkRecs;
-// every chunk but the last is full). A Trace is immutable after
-// construction and safe for concurrent replay.
+// Each record holds the PC of one retired instruction, the byte address
+// it accessed if it was a memory op, and whether it redirected control
+// flow. The records live in the fixed-size chunks Capture fills: record
+// i is entry i mod chunkRecs of chunk i / chunkRecs, and every chunk
+// but the last is full. A Trace is immutable after construction and
+// safe for concurrent replay.
 type Trace struct {
 	chunks []*traceChunk
 	n      int
@@ -230,10 +230,11 @@ func Capture(prog *isa.Program, st *State, maxInsts uint64) (*Trace, error) {
 	if maxInsts == 0 {
 		maxInsts = DefaultConfig().MaxInsts
 	}
-	t := &Trace{}
+	var chunks []*traceChunk
 	var cur *traceChunk
+	n := 0
 	for !st.Halted {
-		if uint64(t.n) >= maxInsts {
+		if uint64(n) >= maxInsts {
 			return nil, st.fault(st.PC, isa.Inst{}, "instruction budget %d exhausted (runaway loop?)", maxInsts)
 		}
 		pc := st.PC
@@ -241,21 +242,20 @@ func Capture(prog *isa.Program, st *State, maxInsts uint64) (*Trace, error) {
 		if err != nil {
 			return nil, err
 		}
-		j := t.n & chunkMask
+		j := n & chunkMask
 		if j == 0 {
 			cur = new(traceChunk)
-			t.chunks = append(t.chunks, cur)
+			chunks = append(chunks, cur)
 		}
 		cur.pcs[j] = int32(pc)
 		cur.addrs[j] = info.Addr
 		if info.Taken {
 			cur.taken[j>>6] |= 1 << uint(j&63)
 		}
-		t.n++
+		n++
 	}
-	t.Final = st
-	t.dec = decodeProg(prog)
-	t.counts = t.count(t.n)
+	t := &Trace{chunks: chunks, n: n, Final: st, dec: decodeProg(prog)}
+	t.counts = t.count(n)
 	return t, nil
 }
 

@@ -419,26 +419,28 @@ func TestSuiteMemoKeyCoversDesignFields(t *testing.T) {
 		{"CPU.BpredEntries", base, func(c *sim.Config) { c.CPU.BpredEntries = 2 }},
 		{"Compile.LineSize", opt, func(c *sim.Config) { c.Compile.LineSize = 32 }},
 	} {
-		fromCycles, err := s.Cycles(b, v.from)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := v.from
-		v.set(&cfg)
-		got, err := s.Cycles(b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := NewSuiteJobs(benches, 1).Cycles(b, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%s: suite returned %d cycles, a fresh suite %d", v.name, got, want)
-		}
-		if want == fromCycles {
-			t.Errorf("%s: the variant runs the unchanged design's %d cycles, so it cannot tell the keys apart", v.name, want)
-		}
+		t.Run(v.name, func(t *testing.T) {
+			fromCycles, err := s.Cycles(b, v.from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := v.from
+			v.set(&cfg)
+			got, err := s.Cycles(b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := NewSuiteJobs(benches, 1).Cycles(b, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("suite returned %d cycles, a fresh suite %d", got, want)
+			}
+			if want == fromCycles {
+				t.Errorf("the variant runs the unchanged design's %d cycles, so it cannot tell the keys apart", want)
+			}
+		})
 	}
 
 	baseCycles, err := s.Cycles(b, base)

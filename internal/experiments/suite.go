@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 
 	"sttdl1/internal/compile"
 	"sttdl1/internal/energy"
@@ -207,11 +208,21 @@ func (s *Suite) WithContext(ctx context.Context) *Suite {
 // sizes of one bench would otherwise serve the wrong result.
 func benchKey(b polybench.Bench) string { return b.Name + "@" + strconv.Itoa(b.Default) }
 
-// runKey is the memo key of bench b under the configuration whose
-// sim.CanonicalKey is canon. Configurations that simulate the same
-// design share it; every field the simulator reads, and the Check
-// flag, tell two keys apart.
-func runKey(b polybench.Bench, canon string) string { return benchKey(b) + "|" + canon }
+// runKey returns the memo key of bench b under cfg and its suffix
+// canon, sim.CanonicalKey(cfg). Configurations that simulate the same
+// design share the key; every field the simulator reads, and the Check
+// flag, tell two keys apart. Both strings share one allocation: the
+// memo hit path builds a key on every lookup.
+func runKey(b polybench.Bench, cfg sim.Config) (key, canon string) {
+	var sb strings.Builder
+	sb.Grow(320)
+	sb.WriteString(benchKey(b))
+	sb.WriteByte('|')
+	n := sb.Len()
+	sim.WriteCanonicalKey(&sb, cfg)
+	key = sb.String()
+	return key, key[n:]
+}
 
 func runLabel(b polybench.Bench, cfg sim.Config) string {
 	return b.Name + " on " + cfg.Name + "/" + sim.CompileKey(cfg.Compile)
@@ -227,8 +238,7 @@ func (s *Suite) Run(b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
 // not started yet).
 func (s *Suite) RunContext(ctx context.Context, b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
 	cfg = s.applyCheck(cfg)
-	canon := sim.CanonicalKey(cfg)
-	key := runKey(b, canon)
+	key, canon := runKey(b, cfg)
 	r, err := s.pool.DoLabeled(ctx, key, runLabel(b, cfg),
 		func(ctx context.Context) (*sim.RunResult, error) {
 			r, cached, err := s.execute(ctx, b, cfg, canon)
@@ -322,8 +332,7 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 	var order []groupKey
 	for _, sp := range specs {
 		cfg := s.applyCheck(sp.Config)
-		canon := sim.CanonicalKey(cfg)
-		key := runKey(sp.Bench, canon)
+		key, canon := runKey(sp.Bench, cfg)
 		if seen[key] {
 			continue
 		}

@@ -91,13 +91,20 @@ func WarmKey(cfg Config) Config {
 // in-memory memo). Distinct canonical configs always produce distinct
 // keys: every field lands in its own labeled, delimited slot.
 func CanonicalKey(cfg Config) string {
-	check := cfg.Check
-	c := Canonical(cfg)
 	var b strings.Builder
 	// Sized above the longest key the current axes can render (a
 	// defaults-resolved key is ~200 bytes): one undersized Grow here
-	// costs a second allocation per key on the store/memo hot paths.
+	// costs a second allocation per key.
 	b.Grow(288)
+	WriteCanonicalKey(&b, cfg)
+	return b.String()
+}
+
+// WriteCanonicalKey appends CanonicalKey(cfg) to b, so a caller can
+// build a key with a prefix in one allocation.
+func WriteCanonicalKey(b *strings.Builder, cfg Config) {
+	check := cfg.Check
+	c := Canonical(cfg)
 	b.WriteString(c.DL1Cell.String())
 	b.WriteString("|fe=")
 	b.WriteString(c.FrontEnd.String())
@@ -128,12 +135,11 @@ func CanonicalKey(cfg Config) string {
 	b.WriteString("/")
 	b.WriteString(c.IL1FrontEnd.String())
 	b.WriteString("|cpu=")
-	appendCPUKey(&b, c.CPU)
+	appendCPUKey(b, c.CPU)
 	b.WriteString("|opt=")
-	appendCompileKey(&b, c.Compile)
+	appendCompileKey(b, c.Compile)
 	b.WriteString("|chk=")
 	b.WriteString(strconv.FormatBool(check))
-	return b.String()
 }
 
 func appendCPUKey(b *strings.Builder, c cpu.Config) {
