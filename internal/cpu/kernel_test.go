@@ -261,6 +261,92 @@ func TestReplayCtlProbesAcrossChunks(t *testing.T) {
 	}
 }
 
+// countdownProg is a two-instruction loop run k times over; it retires
+// exactly 2k+2 records, so a test can land a trace's end on a chunk
+// boundary.
+func countdownProg(k int32) *isa.Program {
+	return &isa.Program{DataSize: 64, Insts: []isa.Inst{
+		{Op: isa.OpMOVI, Rd: 1, Imm: k},
+		{Op: isa.OpADDI, Rd: 1, Ra: 1, Imm: -1}, // 1: loop top
+		{Op: isa.OpBNE, Ra: 1, Rb: isa.ZR, Imm: -2},
+		{Op: isa.OpHALT},
+	}}
+}
+
+// TestCaptureChunkLayout checks the storage Capture fills against the
+// record stream of a fresh functional run: the trace uses exactly
+// ceil(Len/chunkRecs) chunks, every chunk but the last is full, each
+// record's PC, address and taken bit sit where Chunk and TakenAt say,
+// and the last chunk's taken bitset is clear past the final record (so
+// the chunks' bitsets concatenate into the whole trace's). The lengths
+// cover a partial single chunk, a last chunk that ends exactly on a
+// boundary, and a partial third chunk.
+func TestCaptureChunkLayout(t *testing.T) {
+	cases := []struct {
+		name string
+		prog *isa.Program
+		n    int // records the program retires (0 = not checked)
+	}{
+		{"partial-chunk", kernelProg(1), 0},
+		{"one-full-chunk", countdownProg(chunkRecs/2 - 1), chunkRecs},
+		{"two-full-chunks", countdownProg(chunkRecs - 1), 2 * chunkRecs},
+		{"partial-third-chunk", kernelProg(50), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := Capture(tc.prog, NewState(tc.prog), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var pcs []int32
+			var addrs []uint32
+			var taken []bool
+			st := NewState(tc.prog)
+			for !st.Halted {
+				pc := st.PC
+				info, err := st.Step(tc.prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pcs = append(pcs, int32(pc))
+				addrs = append(addrs, info.Addr)
+				taken = append(taken, info.Taken)
+			}
+			n := len(pcs)
+			if tc.n != 0 && n != tc.n {
+				t.Fatalf("program retired %d records, want %d", n, tc.n)
+			}
+			if tr.Len() != n {
+				t.Fatalf("Len = %d, want %d", tr.Len(), n)
+			}
+			if want := (n + chunkRecs - 1) / chunkRecs; tr.Chunks() != want {
+				t.Fatalf("Chunks = %d, want %d", tr.Chunks(), want)
+			}
+			for k := range tr.Chunks() {
+				cpcs, caddrs, ctaken := tr.Chunk(k)
+				lo := k * chunkRecs
+				m := min(n-lo, chunkRecs)
+				if len(cpcs) != m || len(caddrs) != m || len(ctaken) != (m+63)/64 {
+					t.Fatalf("chunk %d holds %d PCs, %d addresses, %d taken words; want %d, %d, %d",
+						k, len(cpcs), len(caddrs), len(ctaken), m, m, (m+63)/64)
+				}
+				for j := range m {
+					i := lo + j
+					if cpcs[j] != pcs[i] || caddrs[j] != addrs[i] {
+						t.Fatalf("record %d: pc %d addr %#x, want pc %d addr %#x", i, cpcs[j], caddrs[j], pcs[i], addrs[i])
+					}
+					if bit := ctaken[j>>6]&(1<<uint(j&63)) != 0; bit != taken[i] || tr.TakenAt(i) != taken[i] {
+						t.Fatalf("record %d: taken bit %t, TakenAt %t, want %t", i, bit, tr.TakenAt(i), taken[i])
+					}
+				}
+				if r := m & 63; r != 0 && ctaken[len(ctaken)-1]>>uint(r) != 0 {
+					t.Errorf("chunk %d: taken bits set past its last record", k)
+				}
+			}
+		})
+	}
+}
+
 // TestConfigWithDefaults pins the one place every timing pass resolves
 // its Config: unusable zero fields take DefaultConfig's values and
 // every explicit field is kept.
