@@ -109,11 +109,6 @@ type buffer struct {
 	pfRecent []pfEntry
 	pfHead   int
 
-	// lastHit is an MRU probe hint: access streams are line-local, so
-	// find checks the previous hit's slot before scanning. Purely an
-	// optimization — never consulted for replacement decisions.
-	lastHit int
-
 	// witness counts decisions about resident lines that read a cycle
 	// clock: a prefetch-filter window compare and a spec-protection
 	// compare in victim. While it stays 0, the buffer's contents are a
@@ -164,12 +159,8 @@ func (b *buffer) prefetchFiltered(now int64, lineAddr mem.Addr) bool {
 }
 
 func (b *buffer) find(lineAddr mem.Addr) *entry {
-	if e := &b.entries[b.lastHit]; e.valid && e.lineAddr == lineAddr {
-		return e
-	}
 	for i := range b.entries {
 		if b.entries[i].valid && b.entries[i].lineAddr == lineAddr {
-			b.lastHit = i
 			return &b.entries[i]
 		}
 	}
@@ -248,7 +239,6 @@ func (b *buffer) reset() {
 	b.pfHead = 0
 	b.useClock = 0
 	b.fifoNext = 0
-	b.lastHit = 0
 	b.witness = 0
 }
 

@@ -1,83 +1,133 @@
-// Gang replay: one trace walk, K configurations (DESIGN.md §7.9).
+// Replay driver: one trace walk, K configurations (DESIGN.md §7.9).
 //
 // A design-space sweep replays the same trace once per configuration, so
 // the multi-megabyte record stream — PCs, effective addresses, decode
-// entries — is re-read from memory K times for K design points.
+// entries — would be re-read from memory K times for K design points.
 // ReplayTraceGang walks the trace once for a batch of configurations in
 // chunk-major order: a chunk of records sized to stay cache-resident is
-// replayed to completion by each member in turn (exactly as in serial
-// replay), then the gang advances to the next chunk. Members after the
-// first read the chunk's stream out of the host cache instead of DRAM,
-// and each member's loop-carried state plus hierarchy hot set stays
-// resident for the whole chunk.
+// replayed to completion by each member in turn, then the walk advances
+// to the next chunk. Members after the first read the chunk's stream out
+// of the host cache instead of DRAM, and each member's loop-carried
+// state plus hierarchy hot set stays resident for the whole chunk.
 //
 // Each member keeps a private replayState over its own port topology, so
 // member timing is fully disjoint: chunk-major execution is a pure
 // reordering of independent per-member passes, and every member's
-// result is cycle- and counter-identical to its own serial replay
-// (enforced by the gang equivalence and metamorphic tests). Gang replay
-// handles full passes only — truncation, abort probes, and budget
-// faults are per-configuration concerns that break the shared walk;
-// callers fall back to serial replay for those.
+// result is cycle- and counter-identical to its own one-member walk
+// (enforced by the gang equivalence and metamorphic tests). It is the
+// only replay driver: ReplayTrace is a walk of one.
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// gangChunk is the record granularity of the shared walk: 1<<14 records
+// walkChunk is the record granularity of the shared walk: 1<<14 records
 // is 128 KB of PC+address stream — comfortably inside the host L2 next
 // to a member's working set, and coarse enough that the per-chunk
-// kernel-call and interrupt-probe overhead vanishes.
-const gangChunk = 1 << 14
+// kernel-call overhead vanishes.
+const walkChunk = 1 << 14
 
 // ReplayTraceGang replays tr once for every CPU in cpus (each a fully
-// private configuration + hierarchy) and returns their Results in
-// member order. interrupt, when non-nil, is probed between chunks at
-// least every intrEvery records (<= 0 means every 65536) exactly like
-// ReplayCtl.Interrupt: a non-nil return abandons the whole gang with
-// that error and no results. Unlike ReplayTraceCtl there is no
-// truncation or abort control, and a trace longer than any member's
-// instruction budget is rejected up front (the caller replays that
-// configuration serially to get its ordinary budget fault).
-func ReplayTraceGang(tr *Trace, cpus []*CPU, interrupt func() error, intrEvery int) ([]*Result, error) {
-	if len(cpus) == 0 {
-		return nil, nil
+// private configuration + hierarchy) under ctl and returns their
+// Results in member order.
+//
+// The walk runs in record ranges bounded by the next walk chunk, the
+// next Abort or Interrupt probe and each member's own end, so the
+// replay loop itself carries no control arithmetic. A member ends at
+// ctl.MaxRecords (0 = the whole trace) or, when the trace is longer
+// than its MaxInsts budget, at that budget: its Result then holds the
+// budget's prefix and faults[k] the budget *Fault, while the other
+// members walk on. An Abort probe is called with the smallest cycle
+// lower bound among the members still walking; returning true stops
+// them all there and the walk reports aborted. A non-nil Interrupt
+// return abandons the whole walk with that error and no results.
+func ReplayTraceGang(tr *Trace, cpus []*CPU, ctl *ReplayCtl) (res []*Result, faults []error, aborted bool, err error) {
+	var c ReplayCtl
+	if ctl != nil {
+		c = *ctl
 	}
 	n := tr.Len()
+	if c.MaxRecords > 0 && c.MaxRecords < n {
+		n = c.MaxRecords
+	}
 	members := make([]*replayState, len(cpus))
-	for k, c := range cpus {
-		members[k] = newReplayState(c, tr)
-		if budget := members[k].maxInsts; uint64(n) > budget {
-			return nil, fmt.Errorf("cpu: gang replay member %d: trace length %d exceeds instruction budget %d", k, n, budget)
+	walkEnd := 0
+	for k, cp := range cpus {
+		st := newReplayState(cp, tr)
+		st.end = n
+		if st.maxInsts < uint64(tr.Len()) && st.maxInsts <= uint64(n) {
+			st.end, st.budgeted = int(st.maxInsts), true
 		}
+		walkEnd = max(walkEnd, st.end)
+		members[k] = st
 	}
-	every := 0
-	if interrupt != nil {
-		every = intrEvery
-		if every <= 0 {
-			every = 1 << 16
+	nextProbe := -1 // record count of the next Abort probe (-1 = never)
+	if c.Abort != nil && c.CheckEvery > 0 {
+		nextProbe = c.CheckEvery
+	}
+	nextIntr, intrEvery := -1, 0 // record count of the next Interrupt probe
+	if c.Interrupt != nil {
+		intrEvery = c.InterruptEvery
+		if intrEvery <= 0 {
+			intrEvery = 1 << 16
 		}
+		nextIntr = intrEvery
 	}
-	sinceProbe := 0
-	for lo := 0; lo < n; lo += gangChunk {
-		hi := lo + gangChunk
-		if hi > n {
-			hi = n
+	for pos := 0; pos < walkEnd; {
+		hi := min(pos&^(walkChunk-1)+walkChunk, walkEnd)
+		if nextProbe > 0 {
+			hi = min(hi, nextProbe)
+		}
+		if nextIntr > 0 {
+			hi = min(hi, nextIntr)
 		}
 		for _, st := range members {
-			st.run(lo, hi)
-		}
-		if every > 0 && hi < n {
-			if sinceProbe += hi - lo; sinceProbe >= every {
-				sinceProbe = 0
-				if err := interrupt(); err != nil {
-					return nil, err
-				}
+			if pos < st.end {
+				st.run(pos, min(hi, st.end))
 			}
 		}
+		pos = hi
+		// Abort probe: maxDone only grows, so the smallest one among the
+		// members still walking is a sound lower bound of each of their
+		// final cycle counts.
+		if pos == nextProbe {
+			low := int64(math.MaxInt64)
+			for _, st := range members {
+				if st.end >= pos {
+					low = min(low, st.maxDone)
+				}
+			}
+			if c.Abort(low) {
+				aborted = true
+				for _, st := range members {
+					if st.end > pos {
+						st.end, st.budgeted = pos, false
+					}
+				}
+				break
+			}
+			nextProbe += c.CheckEvery
+		}
+		// Interrupt probe: abandon the walk with the probe's error. The
+		// members' systems are discarded with it, so their open fetch
+		// streams' unflushed bookkeeping is irrelevant.
+		if pos == nextIntr {
+			if err := c.Interrupt(); err != nil {
+				return nil, nil, false, err
+			}
+			nextIntr += intrEvery
+		}
 	}
-	out := make([]*Result, len(cpus))
+	res = make([]*Result, len(members))
+	faults = make([]error, len(members))
 	for k, st := range members {
-		out[k] = st.finish(n)
+		res[k] = st.finish(st.end)
+		if st.budgeted {
+			pc := tr.chunks[st.end>>chunkShift].pcs[st.end&chunkMask] // the first record past the budget
+			faults[k] = &Fault{PC: int(pc), Msg: fmt.Sprintf("instruction budget %d exhausted (runaway loop?)", st.maxInsts)}
+		}
 	}
-	return out, nil
+	return res, faults, aborted, nil
 }

@@ -9,14 +9,14 @@
 // end, the timing oracle's wrapper) leaves the stream closed, so its
 // CurLine sentinel never matches and every fetch takes imem.Access.
 //
-// The kernel runs records [lo, hi), so the drivers (ReplayTraceCtl,
-// ReplayTraceGang) hoist all partial-replay control — truncation, abort
-// probes, interrupt probes — out of the loop into range boundaries: a
-// probe every K records becomes a kernel call of K records, and the
-// common nil-ctl replay is a single call with zero per-record control
-// overhead. Live execution (CPU.RunState) is the independent reference
-// the kernel is checked against (the Fig. 3 equivalence matrix in
-// internal/replay).
+// The kernel runs records [lo, hi), so the one driver (ReplayTraceGang,
+// gang.go) hoists all partial-replay control — truncation, budgets,
+// abort probes, interrupt probes — out of the loop into range
+// boundaries: a probe every K records becomes a kernel call of K
+// records, and the common nil-ctl replay is one call per walk chunk
+// with zero per-record control overhead. Live execution (CPU.RunState)
+// is the independent reference the kernel is checked against (the
+// Fig. 3 equivalence matrix in internal/replay).
 //
 // The register scoreboard is packed: ready[r] holds done<<1 | loadBit,
 // so the operand-readiness maximum and its load attribution come out of
@@ -40,7 +40,7 @@ func pos64(d int64) int64 { return d &^ (d >> 63) }
 
 // replayState is the complete loop-carried state of one configuration's
 // timing pass, factored out of the loop so the kernel can run it in record
-// ranges (probe intervals, gang interleaving). The sbuf/lq slices alias the
+// ranges (probe intervals, walk chunks). The sbuf/lq slices alias the
 // embedded arrays, so a replayState must not be copied once built.
 type replayState struct {
 	// Loop-carried scalars (see RunState for their meaning).
@@ -59,6 +59,10 @@ type replayState struct {
 	lqHead     int
 	nextMp     int
 	mpK        int
+	// end is the record count the pass stops at; budgeted marks an end
+	// set by the MaxInsts budget, where the pass faults.
+	end      int
+	budgeted bool
 
 	// Pass-immutable geometry and streams.
 	issueWidth int
@@ -91,7 +95,7 @@ type replayState struct {
 
 // newReplayState wires one timing pass of c over tr: it resolves c's
 // configuration, binds the trace's mispredict stream, and opens the
-// fetch stream on a bare IL1. Serial and gang replay share it.
+// fetch stream on a bare IL1.
 func newReplayState(c *CPU, tr *Trace) *replayState {
 	cfg := c.Cfg.withDefaults()
 	st := &replayState{maxInsts: cfg.MaxInsts, tr: tr}

@@ -184,6 +184,9 @@ func TestReplayWrappedIL1SeesEveryFetch(t *testing.T) {
 // the same budget Fault and counters as live execution. The budgets
 // straddle the first chunk boundary, so the cut falls on the last
 // record of a chunk, on a boundary and on the first record of the next.
+// The last input walks two members with different budgets: each stops
+// at its own budget with its own one-member result and fault while the
+// other walks on.
 func TestReplayBudgetFault(t *testing.T) {
 	prog := kernelProg(50)
 	tr, err := Capture(prog, NewState(prog), 0)
@@ -193,28 +196,43 @@ func TestReplayBudgetFault(t *testing.T) {
 	if tr.Len() <= 2*chunkRecs {
 		t.Fatalf("trace has %d records, want more than two chunks", tr.Len())
 	}
-	for _, budget := range []uint64{chunkRecs - 1, chunkRecs, chunkRecs + 1} {
-		t.Run(strconv.FormatUint(budget, 10), func(t *testing.T) {
+	for _, budgets := range [][]uint64{{chunkRecs - 1}, {chunkRecs}, {chunkRecs + 1}, {chunkRecs + 1, chunkRecs - 1}} {
+		var name []string
+		cpus := make([]*CPU, len(budgets))
+		for k, budget := range budgets {
+			name = append(name, strconv.FormatUint(budget, 10))
 			cfg := DefaultConfig()
 			cfg.MaxInsts = budget
-			c := &CPU{Cfg: cfg, IMem: fastMem{1}, DMem: fastMem{1}}
-			res, err := c.ReplayTrace(tr)
-			if err == nil || !strings.Contains(err.Error(), "budget") {
-				t.Fatalf("replay err = %v, want a budget fault", err)
+			cpus[k] = &CPU{Cfg: cfg, IMem: fastMem{1}, DMem: fastMem{1}}
+		}
+		t.Run(strings.Join(name, "+"), func(t *testing.T) {
+			got, faults, aborted, err := ReplayTraceGang(tr, cpus, nil)
+			if err != nil || aborted {
+				t.Fatalf("walk: aborted %t, err %v", aborted, err)
 			}
-			if res == nil || res.Insts != budget {
-				t.Fatalf("partial result = %+v, want %d insts", res, budget)
-			}
-			live, liveErr := c.Run(prog)
-			if liveErr == nil || liveErr.Error() != err.Error() {
-				t.Errorf("live err = %v, replay err = %v", liveErr, err)
-			}
-			want := tr.count(int(budget))
-			if res.Loads != want.loads || res.Stores != want.stores || res.Branches != want.branches {
-				t.Errorf("partial counters %+v, want those of the %d-record prefix", timingOf(res), budget)
-			}
-			if live.Insts != res.Insts || live.Loads != res.Loads || live.Stores != res.Stores {
-				t.Errorf("partial counters: replay %+v, live %+v", timingOf(res), timingOf(live))
+			for k, budget := range budgets {
+				res, err := got[k], faults[k]
+				if err == nil || !strings.Contains(err.Error(), "budget") {
+					t.Fatalf("member %d: replay err = %v, want a budget fault", k, err)
+				}
+				if res == nil || res.Insts != budget {
+					t.Fatalf("member %d: partial result = %+v, want %d insts", k, res, budget)
+				}
+				one, oneErr := cpus[k].ReplayTrace(tr)
+				if oneErr == nil || oneErr.Error() != err.Error() || timingOf(one) != timingOf(res) {
+					t.Errorf("member %d: walk %+v, %v\none-member %+v, %v", k, timingOf(res), err, timingOf(one), oneErr)
+				}
+				live, liveErr := cpus[k].Run(prog)
+				if liveErr == nil || liveErr.Error() != err.Error() {
+					t.Errorf("member %d: live err = %v, replay err = %v", k, liveErr, err)
+				}
+				want := tr.count(int(budget))
+				if res.Loads != want.loads || res.Stores != want.stores || res.Branches != want.branches {
+					t.Errorf("member %d: partial counters %+v, want those of the %d-record prefix", k, timingOf(res), budget)
+				}
+				if live.Insts != res.Insts || live.Loads != res.Loads || live.Stores != res.Stores {
+					t.Errorf("member %d: partial counters: replay %+v, live %+v", k, timingOf(res), timingOf(live))
+				}
 			}
 		})
 	}
@@ -222,42 +240,55 @@ func TestReplayBudgetFault(t *testing.T) {
 
 // TestReplayCtlProbesAcrossChunks runs a multi-chunk trace under probes
 // that never fire, at intervals that put a probe point next to each
-// chunk boundary: the pass must equal the probe-free replay counter for
-// counter, cache statistic for cache statistic.
+// trace chunk boundary and between the walk's chunk boundaries: every
+// member's pass must equal its probe-free one-member replay counter for
+// counter, cache statistic for cache statistic. The two-member walk
+// pairs a buffered and a Direct data port.
 func TestReplayCtlProbesAcrossChunks(t *testing.T) {
 	prog := kernelProg(50)
 	tr, err := Capture(prog, NewState(prog), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole := newKernelSystem(false, false)
-	want, err := (&CPU{Cfg: DefaultConfig(), IMem: whole.imem, DMem: whole.fe}).ReplayTrace(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probed := newKernelSystem(false, false)
-	probes := 0
-	ctl := &ReplayCtl{
-		CheckEvery:     chunkRecs - 1,
-		Abort:          func(int64) bool { probes++; return false },
-		Interrupt:      func() error { return nil },
-		InterruptEvery: chunkRecs + 1,
-	}
-	got, aborted, err := (&CPU{Cfg: DefaultConfig(), IMem: probed.imem, DMem: probed.fe}).ReplayTraceCtl(tr, ctl)
-	if err != nil || aborted {
-		t.Fatalf("probed replay: aborted %t, err %v", aborted, err)
-	}
-	if probes != tr.Len()/(chunkRecs-1) {
-		t.Errorf("Abort probed %d times, want %d", probes, tr.Len()/(chunkRecs-1))
-	}
-	if timingOf(got) != timingOf(want) {
-		t.Errorf("probed %+v\nwhole  %+v", timingOf(got), timingOf(want))
-	}
-	if g, w := probed.il1.Stats(), whole.il1.Stats(); g != w {
-		t.Errorf("IL1 stats: probed %+v, whole %+v", g, w)
-	}
-	if g, w := probed.dl1.Stats(), whole.dl1.Stats(); g != w {
-		t.Errorf("DL1 stats: probed %+v, whole %+v", g, w)
+	for _, direct := range [][]bool{{false}, {false, true}} {
+		t.Run(strconv.Itoa(len(direct))+"-member", func(t *testing.T) {
+			probed := make([]*kernelSystem, len(direct))
+			cpus := make([]*CPU, len(direct))
+			for k, d := range direct {
+				probed[k] = newKernelSystem(false, d)
+				cpus[k] = &CPU{Cfg: DefaultConfig(), IMem: probed[k].imem, DMem: probed[k].fe}
+			}
+			probes := 0
+			ctl := &ReplayCtl{
+				CheckEvery:     chunkRecs - 1,
+				Abort:          func(int64) bool { probes++; return false },
+				Interrupt:      func() error { return nil },
+				InterruptEvery: chunkRecs + 1,
+			}
+			got, faults, aborted, err := ReplayTraceGang(tr, cpus, ctl)
+			if err != nil || aborted {
+				t.Fatalf("probed walk: aborted %t, err %v", aborted, err)
+			}
+			if probes != tr.Len()/(chunkRecs-1) {
+				t.Errorf("Abort probed %d times, want %d", probes, tr.Len()/(chunkRecs-1))
+			}
+			for k, d := range direct {
+				whole := newKernelSystem(false, d)
+				want, err := (&CPU{Cfg: DefaultConfig(), IMem: whole.imem, DMem: whole.fe}).ReplayTrace(tr)
+				if err != nil || faults[k] != nil {
+					t.Fatalf("member %d: whole err %v, probed fault %v", k, err, faults[k])
+				}
+				if timingOf(got[k]) != timingOf(want) {
+					t.Errorf("member %d: probed %+v\nwhole  %+v", k, timingOf(got[k]), timingOf(want))
+				}
+				if g, w := probed[k].il1.Stats(), whole.il1.Stats(); g != w {
+					t.Errorf("member %d: IL1 stats: probed %+v, whole %+v", k, g, w)
+				}
+				if g, w := probed[k].dl1.Stats(), whole.dl1.Stats(); g != w {
+					t.Errorf("member %d: DL1 stats: probed %+v, whole %+v", k, g, w)
+				}
+			}
+		})
 	}
 }
 

@@ -23,7 +23,6 @@
 package cpu
 
 import (
-	"fmt"
 	"sync"
 
 	"sttdl1/internal/isa"
@@ -315,8 +314,9 @@ type ReplayCtl struct {
 	CheckEvery int
 	// Abort, when non-nil, is called every CheckEvery records with the
 	// pass's current cycle lower bound (the final cycle count can only
-	// be larger). Returning true abandons the replay; the partial
-	// Result reflects the records retired so far.
+	// be larger; in a walk of several members, the smallest one).
+	// Returning true abandons the replay; the partial Result reflects
+	// the records retired so far.
 	Abort func(cyclesSoFar int64) bool
 	// Interrupt, when non-nil, is probed every InterruptEvery records in
 	// every pass — unlike Abort it also runs during the warm-up, whose
@@ -338,91 +338,17 @@ type ReplayCtl struct {
 // the trace: cycles, every stall counter, and every memory access
 // presented to IMem/DMem are byte-identical to a live run of the same
 // program under the same configuration (enforced by
-// TestReplayMatchesLive* and the Fig. 3 equivalence matrix).
+// TestReplayMatchesLive* and the Fig. 3 equivalence matrix). It is a
+// walk of one member without control (ReplayTraceGang); a trace longer
+// than the MaxInsts budget returns the budget's partial Result with the
+// budget Fault.
 //
 // The returned Result shares the trace's Final architectural state; it
 // must be treated as read-only.
 func (c *CPU) ReplayTrace(tr *Trace) (*Result, error) {
-	res, _, err := c.ReplayTraceCtl(tr, nil)
-	return res, err
-}
-
-// ReplayTraceCtl is ReplayTrace under partial-run control: ctl can
-// truncate the pass after a record prefix and/or abort it when a probe
-// decides the run is no longer worth finishing (the early-abort
-// criterion of the guided design-space search). It reports whether the
-// pass was stopped early by an Abort probe; a truncated or aborted
-// Result holds the cycle count, stall counters and retirement
-// statistics of exactly the retired prefix (the prefix cycle count is a
-// lower bound of the full run's). With a nil ctl it is exactly
-// ReplayTrace.
-//
-// The pass runs on the replay kernel (kernel.go), and this driver walks
-// the trace in record ranges bounded by the next Abort/Interrupt probe
-// point,
-// so the loop itself carries no probe arithmetic: a probe every K
-// records is a kernel call of K records, and the common probe-free
-// replay is a single kernel call over the whole trace.
-func (c *CPU) ReplayTraceCtl(tr *Trace, ctl *ReplayCtl) (*Result, bool, error) {
-	st := newReplayState(c, tr)
-
-	n := tr.Len()
-	budgeted := uint64(n) > st.maxInsts
-	if budgeted {
-		n = int(st.maxInsts)
+	res, faults, _, err := ReplayTraceGang(tr, []*CPU{c}, nil)
+	if err != nil {
+		return nil, err
 	}
-	if ctl != nil && ctl.MaxRecords > 0 && ctl.MaxRecords < n {
-		n = ctl.MaxRecords
-		budgeted = false // the prefix retires within budget
-	}
-	nextProbe := -1 // record count of the next Abort probe (-1 = never)
-	if ctl != nil && ctl.Abort != nil && ctl.CheckEvery > 0 {
-		nextProbe = ctl.CheckEvery
-	}
-	nextIntr, intrEvery := -1, 0 // record count of the next Interrupt probe
-	if ctl != nil && ctl.Interrupt != nil {
-		intrEvery = ctl.InterruptEvery
-		if intrEvery <= 0 {
-			intrEvery = 1 << 16
-		}
-		nextIntr = intrEvery
-	}
-	aborted := false
-	for pos := 0; pos < n; {
-		hi := n
-		if nextProbe > 0 && nextProbe < hi {
-			hi = nextProbe
-		}
-		if nextIntr > 0 && nextIntr < hi {
-			hi = nextIntr
-		}
-		st.run(pos, hi)
-		pos = hi
-		// Abort probe: maxDone only grows, so it is a sound lower bound
-		// of the pass's final cycle count at every probe point.
-		if pos == nextProbe {
-			if ctl.Abort(st.maxDone) {
-				aborted = true
-				n = pos
-				break
-			}
-			nextProbe += ctl.CheckEvery
-		}
-		// Interrupt probe: abandon the pass with the probe's error. The
-		// whole System is discarded with it, so the open fetch stream's
-		// unflushed bookkeeping is irrelevant.
-		if pos == nextIntr {
-			if err := ctl.Interrupt(); err != nil {
-				return nil, false, err
-			}
-			nextIntr += intrEvery
-		}
-	}
-
-	res := st.finish(n)
-	if budgeted {
-		pc := tr.chunks[n>>chunkShift].pcs[n&chunkMask] // the first record past the budget
-		return res, false, &Fault{PC: int(pc), Msg: fmt.Sprintf("instruction budget %d exhausted (runaway loop?)", st.maxInsts)}
-	}
-	return res, aborted, nil
+	return res[0], faults[0]
 }

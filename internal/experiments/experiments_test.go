@@ -460,3 +460,45 @@ func TestSuiteMemoKeyCoversDesignFields(t *testing.T) {
 			got, s.SimsRun()-before, baseCycles)
 	}
 }
+
+// TestGroupBudgetFaultMatchesRun: two configurations that differ only in
+// DL1 banks form one warm group, and both exhaust their instruction
+// budget. Prefetch runs them as one group replay and must fail with the
+// error Run gives for the group's first member on its own, naming that
+// member.
+func TestGroupBudgetFaultMatchesRun(t *testing.T) {
+	b, _ := polybench.ByName("atax")
+	b.Default = 40
+	benches := []polybench.Bench{b}
+	var cfgs []sim.Config
+	for _, banks := range []int{1, 4} {
+		cfg := sim.ProposalVWB()
+		cfg.Name = fmt.Sprintf("vwb-%dbank", banks)
+		cfg.CPU = cpu.DefaultConfig()
+		cfg.CPU.MaxInsts = 1000
+		cfg.DL1Banks = banks
+		cfgs = append(cfgs, cfg)
+	}
+	if sim.WarmKey(cfgs[0]) != sim.WarmKey(cfgs[1]) {
+		t.Fatal("the two configurations do not form one warm group")
+	}
+	first := cfgs[0] // the member with the smaller run key leads the group
+	k0, _ := runKey(b, cfgs[0])
+	if k1, _ := runKey(b, cfgs[1]); k1 < k0 {
+		first = cfgs[1]
+	}
+	_, runErr := NewSuiteJobs(benches, 1).Run(b, first)
+	if runErr == nil || !strings.Contains(runErr.Error(), "budget") {
+		t.Fatalf("Run err = %v, want a budget fault", runErr)
+	}
+	s := NewSuiteJobs(benches, 1)
+	err := s.Prefetch(benches, cfgs...)
+	if err == nil {
+		t.Fatal("Prefetch of a budget-faulting warm group succeeded")
+	}
+	got := strings.TrimPrefix(err.Error(), "experiments: prefetch: ")
+	want := strings.TrimPrefix(runErr.Error(), "experiments: "+b.Name+" on "+first.Name+": ")
+	if got != want || !strings.HasPrefix(want, "sim: "+b.Name+" on "+first.Name+": ") {
+		t.Errorf("Prefetch err = %q\nRun err      = %q", err, runErr)
+	}
+}

@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -156,32 +155,6 @@ func (s *Suite) Stored(b polybench.Bench, cfg sim.Config) bool {
 	return ok && s.store.Contains(key)
 }
 
-// execute performs one simulation: the persistent store tier first
-// (when installed), then trace replay. The returned bool reports a
-// store hit — the timing model never ran. canon is sim.CanonicalKey of
-// cfg.
-func (s *Suite) execute(ctx context.Context, b polybench.Bench, cfg sim.Config, canon string) (*sim.RunResult, bool, error) {
-	key, useStore := s.storeKey(ctx, b, cfg, canon)
-	if useStore {
-		if rec, ok := s.store.Get(key); ok {
-			// A fresh run reports the defaults-resolved requested config
-			// (sim.New applies them); mirror that so a hit is
-			// indistinguishable downstream. The record is freshly decoded,
-			// never shared, so the rewrite is safe.
-			rec.Result.Config = sim.ApplyDefaults(cfg)
-			return rec.Result, true, nil
-		}
-	}
-	r, err := replay.Run(ctx, s.traces, b, cfg)
-	if err == nil && useStore {
-		// Best-effort publish: a failed write (full disk, permissions)
-		// costs future warmth, never correctness — and failures are never
-		// stored at all.
-		_ = s.store.Put(key, store.NewRecord(b.Name, b.Default, r))
-	}
-	return r, false, err
-}
-
 // applyCheck folds the suite's checking mode into a run configuration.
 func (s *Suite) applyCheck(cfg sim.Config) sim.Config {
 	if s.check {
@@ -239,12 +212,10 @@ func (s *Suite) Run(b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
 func (s *Suite) RunContext(ctx context.Context, b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
 	cfg = s.applyCheck(cfg)
 	key, canon := runKey(b, cfg)
-	r, err := s.pool.DoLabeled(ctx, key, runLabel(b, cfg),
+	m := gangMember{key: key, label: runLabel(b, cfg), canon: canon, cfg: cfg}
+	r, err := s.pool.DoLabeled(ctx, key, m.label,
 		func(ctx context.Context) (*sim.RunResult, error) {
-			r, cached, err := s.execute(ctx, b, cfg, canon)
-			if cached {
-				s.pool.NoteCached(key)
-			}
+			r, _, err := s.execute(ctx, b, []gangMember{m}, nil)
 			return r, err
 		})
 	if err != nil {
@@ -255,12 +226,13 @@ func (s *Suite) RunContext(ctx context.Context, b polybench.Bench, cfg sim.Confi
 
 // ReplayCtl executes bench b under cfg by partial timing replay
 // (truncation and/or early abort; DESIGN.md §7.5). Partial results
-// describe a prefix of the run, so they bypass the suite's memo entirely
-// — only the underlying compile+capture is shared through the trace
-// cache. The returned bool reports whether the measured pass aborted.
+// describe a prefix of the run, so they bypass the suite's memo and the
+// persistent store entirely — only the underlying compile+capture is
+// shared through the trace cache. The returned bool reports whether the
+// measured pass aborted.
 func (s *Suite) ReplayCtl(b polybench.Bench, cfg sim.Config, ctl *sim.ReplayCtl) (*sim.RunResult, bool, error) {
 	cfg = s.applyCheck(cfg)
-	r, aborted, err := replay.RunCtl(s.ctx, s.traces, b, cfg, ctl)
+	r, aborted, err := s.execute(s.ctx, b, []gangMember{{cfg: cfg}}, ctl)
 	if err != nil {
 		return nil, false, fmt.Errorf("experiments: %s on %s: %w", b.Name, cfg.Name, err)
 	}
@@ -296,7 +268,7 @@ func (s *Suite) Prefetch(benches []polybench.Bench, cfgs ...sim.Config) error {
 	return s.PrefetchSpecs(specs)
 }
 
-// gangMember is one configuration of a gang batch with its memo
+// gangMember is one configuration of a warm group with its memo
 // identity.
 type gangMember struct {
 	key, label string
@@ -309,15 +281,15 @@ type gangMember struct {
 // dropped, and the rest are grouped by warm group: the trace they
 // replay (same benchmark, problem size and compile options) and their
 // sim.WarmKey, so a group differs only in timing-only fields. Each
-// group of two or more runs as one pool task keyed by its first member
-// (DESIGN.md §7.9): one warm-up for the whole group where the
-// representative's witness proves sharing exact, then the measured
-// passes ganged in walks of the benchmark's gang width. The other
-// members' results are published into the memo as the task completes,
-// so the engine's accounting still sees exactly one completion per
-// unique simulation. Singleton groups take the ordinary serial path.
-// Tasks are submitted in sorted key order so the engine's schedule —
-// and therefore its progress stream — is reproducible run to run.
+// group, of one member or more, runs as one pool task keyed by its
+// first member (execute, DESIGN.md §7.9): one warm-up for the whole
+// group where the representative's witness proves sharing exact, then
+// the measured passes ganged in walks of the benchmark's gang width.
+// The other members' results are published into the memo as the task
+// completes, so the engine's accounting still sees exactly one
+// completion per unique simulation. Tasks are submitted in sorted key
+// order so the engine's schedule — and therefore its progress stream —
+// is reproducible run to run.
 func (s *Suite) PrefetchSpecs(specs []Spec) error {
 	seen := make(map[string]bool, len(specs))
 	type groupKey struct {
@@ -359,20 +331,14 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 		// function of the spec set, never of map iteration or submission
 		// order.
 		sort.Slice(g.members, func(i, j int) bool { return g.members[i].key < g.members[j].key })
-		bench, members, leader := g.bench, g.members, g.members[0]
-		run := func(ctx context.Context) (*sim.RunResult, error) {
-			return s.executeGang(ctx, bench, members)
-		}
-		if len(members) == 1 {
-			run = func(ctx context.Context) (*sim.RunResult, error) {
-				r, cached, err := s.execute(ctx, bench, leader.cfg, leader.canon)
-				if cached {
-					s.pool.NoteCached(leader.key)
-				}
+		bench, members := g.bench, g.members
+		tasks = append(tasks, runner.Task[string, *sim.RunResult]{
+			Key: members[0].key, Label: members[0].label,
+			Run: func(ctx context.Context) (*sim.RunResult, error) {
+				r, _, err := s.execute(ctx, bench, members, nil)
 				return r, err
-			}
-		}
-		tasks = append(tasks, runner.Task[string, *sim.RunResult]{Key: leader.key, Label: leader.label, Run: run})
+			},
+		})
 	}
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Key < tasks[j].Key })
 	if _, err := s.pool.Run(s.ctx, tasks); err != nil {
@@ -381,83 +347,74 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 	return nil
 }
 
-// executeGang runs one warm group under the leader's worker slot: the
-// persistent store tier first per member, one group replay for the
-// misses (shared warm-up, measured passes ganged at the benchmark's
-// gang width), then a serial per-member fallback if the group path
-// fails. Members beyond the leader are published into the memo; the
-// leader's result is returned as the task's value.
-func (s *Suite) executeGang(ctx context.Context, b polybench.Bench, members []gangMember) (*sim.RunResult, error) {
+// execute runs members, one warm group of b, under the caller's worker
+// slot and returns the first member's result; it is the suite's only
+// path to a simulation. A full run (nil ctl) takes each member from the
+// persistent store when it holds one, replays the misses as one group
+// (replay.RunGang: shared warm-up, measured passes ganged at the
+// benchmark's gang width) and publishes them to the store under the key
+// it looked up, then publishes every member but the first into the memo
+// (the first is the caller's task). A member that fails gets no result
+// and its error fails the call once the others are published. A partial
+// run (non-nil ctl) describes a prefix, so it skips the store and the
+// memo; the returned bool reports whether its measured pass aborted.
+func (s *Suite) execute(ctx context.Context, b polybench.Bench, members []gangMember, ctl *sim.ReplayCtl) (*sim.RunResult, bool, error) {
 	results := make([]*sim.RunResult, len(members))
 	cached := make([]bool, len(members))
+	keys := make([]store.Key, len(members)) // zero: the member skips the store
 	var miss []int
+	var cfgs []sim.Config
 	for i, m := range members {
-		if key, ok := s.storeKey(ctx, b, m.cfg, m.canon); ok {
-			if rec, hit := s.store.Get(key); hit {
-				rec.Result.Config = sim.ApplyDefaults(m.cfg)
-				results[i] = rec.Result
-				cached[i] = true
-				continue
+		if ctl == nil {
+			if key, ok := s.storeKey(ctx, b, m.cfg, m.canon); ok {
+				if rec, hit := s.store.Get(key); hit {
+					// A fresh run reports the defaults-resolved requested
+					// config (sim.New applies them); mirror that so a hit is
+					// indistinguishable downstream. The record is freshly
+					// decoded, never shared, so the rewrite is safe.
+					rec.Result.Config = sim.ApplyDefaults(m.cfg)
+					results[i], cached[i] = rec.Result, true
+					continue
+				}
+				keys[i] = key
 			}
 		}
 		miss = append(miss, i)
+		cfgs = append(cfgs, m.cfg)
 	}
+	var aborted bool
+	var err error
 	if len(miss) > 0 {
-		cfgs := make([]sim.Config, len(miss))
-		for j, i := range miss {
-			cfgs[j] = members[i].cfg
-		}
-		rs, err := replay.RunGang(ctx, s.traces, b, cfgs, gangWidthFor(b))
-		switch {
-		case err == nil:
-			for j, i := range miss {
-				results[i] = rs[j]
+		var rs []*sim.RunResult
+		rs, aborted, err = replay.RunGang(ctx, s.traces, b, cfgs, gangWidthFor(b), ctl)
+		for j, r := range rs {
+			if r == nil {
+				continue
 			}
-			if s.store != nil {
-				for _, i := range miss {
-					if key, ok := s.storeKey(ctx, b, members[i].cfg, members[i].canon); ok {
-						_ = s.store.Put(key, store.NewRecord(b.Name, b.Default, results[i]))
-					}
-				}
-			}
-		case ctx.Err() != nil:
-			return nil, ctx.Err()
-		case errors.Is(err, sim.ErrWarmState):
-			// A checked group whose members disagree after their own
-			// warm-ups: serial replays would hide it, so it fails the run.
-			return nil, err
-		default:
-			// Group path failed (e.g. a functional fault, an instruction
-			// budget overrun, an assembly error): fall back to the serial
-			// per-member path, which reproduces the canonical error for the
-			// failing member while the healthy members still complete.
-			for _, i := range miss {
-				r, c, err := s.execute(ctx, b, members[i].cfg, members[i].canon)
-				if err != nil {
-					s.publishGang(members, results, cached, i)
-					return nil, err
-				}
-				results[i], cached[i] = r, c
+			i := miss[j]
+			results[i] = r
+			if keys[i] != (store.Key{}) {
+				// Best-effort publish: a failed write (full disk,
+				// permissions) costs future warmth, never correctness —
+				// and failures are never stored at all.
+				_ = s.store.Put(keys[i], store.NewRecord(b.Name, b.Default, r))
 			}
 		}
 	}
-	s.publishGang(members, results, cached, -1)
+	if ctl == nil {
+		for i := 1; i < len(members); i++ {
+			if results[i] != nil {
+				s.pool.Publish(members[i].key, members[i].label, results[i], cached[i])
+			}
+		}
+	}
+	if err != nil {
+		return nil, false, err
+	}
 	if cached[0] {
 		s.pool.NoteCached(members[0].key)
 	}
-	return results[0], nil
-}
-
-// publishGang pushes every non-leader member with a result into the
-// memo (skip < 0 publishes all; otherwise member skip and later ones
-// without results are omitted — the fallback stopped there).
-func (s *Suite) publishGang(members []gangMember, results []*sim.RunResult, cached []bool, skip int) {
-	for i := 1; i < len(members); i++ {
-		if i == skip || results[i] == nil {
-			continue
-		}
-		s.pool.Publish(members[i].key, members[i].label, results[i], cached[i])
-	}
+	return results[0], aborted, nil
 }
 
 // penaltySeries computes per-bench penalties of cfg against base. The

@@ -47,13 +47,13 @@ func TestRunGangRecyclesCaches(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	traces := replay.NewCache()
 	ctx := context.Background()
-	first, err := replay.RunGang(ctx, traces, b, group, 0)
+	first, _, err := replay.RunGang(ctx, traces, b, group, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	second, err := replay.RunGang(ctx, traces, b, group, 0)
+	second, _, err := replay.RunGang(ctx, traces, b, group, 0, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func TestGangReplayMatchesSerial(t *testing.T) {
 	for _, width := range []int{1, 2, 8} {
 		for lo := 0; lo < len(cfgs); lo += width {
 			hi := min(lo+width, len(cfgs))
-			batch, err := replay.RunGang(ctx, traces, b, cfgs[lo:hi], 0)
+			batch, _, err := replay.RunGang(ctx, traces, b, cfgs[lo:hi], 0, nil)
 			if err != nil {
 				t.Fatalf("gang width %d [%d:%d]: %v", width, lo, hi, err)
 			}
@@ -78,11 +78,11 @@ func TestGangReplayOrderIndependent(t *testing.T) {
 	for i, p := range perm {
 		permuted[i] = cfgs[p]
 	}
-	straight, err := replay.RunGang(ctx, traces, b, cfgs, 0)
+	straight, _, err := replay.RunGang(ctx, traces, b, cfgs, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shuffled, err := replay.RunGang(ctx, traces, b, permuted, 0)
+	shuffled, _, err := replay.RunGang(ctx, traces, b, permuted, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,29 +169,15 @@ func functionalDigest(ck *compile.Compiled) ([sha256.Size]byte, error) {
 	return d, nil
 }
 
-// Run executes bench b under cfg by timing replay: the (memoized)
-// compile + capture, then a fresh system replaying the trace and
-// released once the result is assembled. The result
-// is byte-identical to sim.Run for the same inputs. A cancellable ctx is
-// probed inside the timing loop (warm-up pass included), so a canceled
-// caller gets ctx's error back within ~65k replayed records instead of
-// after the full simulation — the probe never fires on a live context,
-// so results are unchanged.
+// Run executes bench b under cfg by timing replay: RunGang of one
+// configuration. The result is byte-identical to sim.Run for the same
+// inputs.
 func Run(ctx context.Context, c *Cache, b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
-	ck, tr, err := c.Trace(ctx, b, sim.CompileOptions(cfg))
+	rs, _, err := RunGang(ctx, c, b, []sim.Config{cfg}, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.finish(sys)
-	if ctl := cancelCtl(ctx, nil); ctl != nil {
-		r, _, err := sys.ReplayCompiledCtl(ck, tr, ctl)
-		return r, err
-	}
-	return sys.ReplayCompiled(ck, tr)
+	return rs[0], nil
 }
 
 // finish counts the warm-ups sys ran and releases its caches for the
@@ -220,29 +206,38 @@ func cancelCtl(ctx context.Context, ctl *sim.ReplayCtl) *sim.ReplayCtl {
 	return &out
 }
 
-// RunGang executes bench b under a batch of configurations with shared
-// warm-ups and ganged passes (sim.ReplayGroup, trace walks of at most
-// width members; width <= 0 means one walk per pass): the memoized
-// compile + capture once, one fresh system per configuration, then the
-// group replay; the systems are released once the results are
-// assembled. Results are in cfgs order and each is byte-identical to
-// Run of the same (b, cfg). All configurations must share
-// CompileOptions — they would not share a trace otherwise — and a
-// mismatch is an error, not a silent split. Like Run, a cancellable ctx
-// is probed inside every walk.
-func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config, width int) ([]*sim.RunResult, error) {
+// RunGang executes bench b under a batch of configurations by timing
+// replay (sim.ReplayGroup: shared warm-ups, each pass in trace walks of
+// at most width members; width <= 0 means one walk per pass): the
+// memoized compile + capture once, one fresh system per configuration,
+// then the group replay under ctl; the systems are released once the
+// results are assembled. Results are in cfgs order and each is
+// byte-identical to Run of the same (b, cfg). All configurations must
+// share CompileOptions — they would not share a trace otherwise — and a
+// mismatch is an error, not a silent split.
+//
+// ctl may truncate the replay or abort it early (DESIGN.md §7.5); the
+// returned bool reports whether the measured pass was aborted, and
+// results under a truncating or aborting ctl describe a prefix of the
+// run, so they must never be cached as if they were complete. A
+// cancellable ctx is probed inside every walk, warm-ups included, so a
+// canceled caller gets ctx's error back within ~65k replayed records
+// instead of after the full simulation; the probe never fires on a live
+// context, so results are unchanged. A member that fails gets a nil
+// result while the others complete, as in sim.ReplayGroup.
+func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config, width int, ctl *sim.ReplayCtl) ([]*sim.RunResult, bool, error) {
 	if len(cfgs) == 0 {
-		return nil, nil
+		return nil, false, nil
 	}
 	opts := sim.CompileOptions(cfgs[0])
 	for i, cfg := range cfgs[1:] {
 		if sim.CompileOptions(cfg) != opts {
-			return nil, fmt.Errorf("replay: gang member %d of %s has different compile options", i+1, b.Name)
+			return nil, false, fmt.Errorf("replay: gang member %d of %s has different compile options", i+1, b.Name)
 		}
 	}
 	ck, tr, err := c.Trace(ctx, b, opts)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	systems := make([]*sim.System, 0, len(cfgs))
 	defer func() {
@@ -253,30 +248,9 @@ func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config
 	for _, cfg := range cfgs {
 		sys, err := sim.New(cfg)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		systems = append(systems, sys)
 	}
-	var interrupt func() error
-	if ctx.Done() != nil {
-		interrupt = func() error { return ctx.Err() }
-	}
-	return sim.ReplayGroup(systems, width, ck, tr, interrupt, 0)
-}
-
-// RunCtl is Run with partial-replay control (truncation and early abort,
-// DESIGN.md §7.5). The returned bool reports whether the measured pass
-// was aborted. Results from a non-nil ctl describe a prefix of the run
-// and must never be cached as if they were complete.
-func RunCtl(ctx context.Context, c *Cache, b polybench.Bench, cfg sim.Config, ctl *sim.ReplayCtl) (*sim.RunResult, bool, error) {
-	ck, tr, err := c.Trace(ctx, b, sim.CompileOptions(cfg))
-	if err != nil {
-		return nil, false, err
-	}
-	sys, err := sim.New(cfg)
-	if err != nil {
-		return nil, false, err
-	}
-	defer c.finish(sys)
-	return sys.ReplayCompiledCtl(ck, tr, cancelCtl(ctx, ctl))
+	return sim.ReplayGroup(systems, width, ck, tr, cancelCtl(ctx, ctl))
 }

@@ -182,7 +182,7 @@ func groupReplay(t *testing.T, traces *replay.Cache, b polybench.Bench, cfgs []s
 			t.Fatal(err)
 		}
 	}
-	rs, err := sim.ReplayGroup(systems, width, ck, tr, nil, 0)
+	rs, _, err := sim.ReplayGroup(systems, width, ck, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -487,71 +487,42 @@ func (s *System) ReplayCompiled(ck *compile.Compiled, tr *cpu.Trace) (*RunResult
 	return res, err
 }
 
+// ReplayCtl controls a partial timing replay; see cpu.ReplayCtl.
+type ReplayCtl = cpu.ReplayCtl
+
+// ReplayCompiledCtl is ReplayCompiled under partial-replay control, run
+// as a group of one (ReplayGroup). The returned bool reports whether the
+// measured pass was aborted by ctl.Abort.
+func (s *System) ReplayCompiledCtl(ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayCtl) (*RunResult, bool, error) {
+	rs, aborted, err := ReplayGroup([]*System{s}, 0, ck, tr, ctl)
+	if err != nil {
+		return nil, false, err
+	}
+	return rs[0], aborted, nil
+}
+
 // WarmUp replays the warm-up pass over the trace and resets timing,
 // leaving the contents a measured pass starts from. Witness then tells
 // whether those contents are shared by every configuration with the
 // same WarmKey (DESIGN.md §7.9).
 func (s *System) WarmUp(ck *compile.Compiled, tr *cpu.Trace) error {
-	return s.warmUp(ck, tr, nil)
-}
-
-// warmUp is WarmUp under partial-replay control.
-func (s *System) warmUp(ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayCtl) error {
-	s.warmUps++
-	if _, _, err := s.replayOnceCtl(ck, tr, ctl); err != nil {
+	g := &groupReplay{ck: ck, tr: tr, width: 1, errs: make(map[*System]error)}
+	if err := g.warmPass([]*System{s}, nil); err != nil {
 		return err
 	}
-	s.ResetTiming()
-	return nil
-}
-
-// ReplayCtl controls a partial timing replay; see cpu.ReplayCtl.
-type ReplayCtl = cpu.ReplayCtl
-
-// ReplayCompiledCtl is ReplayCompiled with partial-replay control: the
-// warm-up pass honors only MaxRecords and Interrupt (its cycle counts
-// are discarded, so Abort-ing it would save nothing and desynchronize
-// cache contents between abort-on and abort-off runs — but a
-// cancellation Interrupt must still reach it, or half of every replay
-// would be uncancellable), while the measured pass gets the full
-// control block. The returned bool reports whether the measured pass
-// was aborted by ctl.Abort.
-func (s *System) ReplayCompiledCtl(ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayCtl) (*RunResult, bool, error) {
-	if !s.Cfg.ColdStart {
-		warmCtl := ctl
-		if ctl != nil && ctl.Abort != nil {
-			wc := *ctl
-			wc.Abort, wc.CheckEvery = nil, 0
-			warmCtl = &wc
-		}
-		if err := s.warmUp(ck, tr, warmCtl); err != nil {
-			return nil, false, err
-		}
-	}
-	return s.replayOnceCtl(ck, tr, ctl)
-}
-
-// replayOnceCtl replays one (possibly partial) timing pass.
-func (s *System) replayOnceCtl(ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayCtl) (*RunResult, bool, error) {
-	res, aborted, err := s.CPU.ReplayTraceCtl(tr, ctl)
-	if err != nil {
-		return nil, false, fmt.Errorf("sim: %s on %s: %w", ck.Prog.Name, s.Cfg.Name, err)
-	}
-	if err := s.CheckErr(); err != nil {
-		return nil, false, fmt.Errorf("sim: %s on %s: %w", ck.Prog.Name, s.Cfg.Name, err)
-	}
-	return s.assemble(ck.Prog.Name, res), aborted, nil
+	return g.errs[s]
 }
 
 // ReplayGang is ReplayGroup with every pass one trace walk over the
-// whole batch.
+// whole batch, under Interrupt control alone.
 func ReplayGang(systems []*System, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) ([]*RunResult, error) {
-	return ReplayGroup(systems, 0, ck, tr, interrupt, intrEvery)
+	rs, _, err := ReplayGroup(systems, 0, ck, tr, &ReplayCtl{Interrupt: interrupt, InterruptEvery: intrEvery})
+	return rs, err
 }
 
-// ReplayGroup is ReplayCompiled for a batch of systems that replay one
-// trace, with warm-ups shared across timing-only variants (DESIGN.md
-// §7.9):
+// ReplayGroup is ReplayCompiledCtl for a batch of systems that replay
+// one trace, with warm-ups shared across timing-only variants (DESIGN.md
+// §7.9). A single system is a group of one.
 //
 //   - Members with equal WarmKey form a warm group. Only its first
 //     member, the representative, runs the warm-up. If the
@@ -561,39 +532,59 @@ func ReplayGang(systems []*System, ck *compile.Compiled, tr *cpu.Trace, interrup
 //   - Under Check, sharing is verified instead of used: every member
 //     runs its own warm-up, and one whose representative ended at
 //     Witness 0 must end in the representative's state, field by
-//     field, or the replay fails naming the field.
-//   - Each pass — warm-ups and the measured pass — is ganged
-//     (cpu.ReplayTraceGang) in walks of at most width members
-//     (width <= 0: one walk).
+//     field, or it fails with ErrWarmState naming the field.
+//   - Each pass — warm-ups and the measured pass — walks the trace
+//     once per at most width members (cpu.ReplayTraceGang; width <= 0:
+//     one walk).
+//   - The warm-ups run under ctl without its Abort probe: their cycle
+//     counts are discarded, so aborting one would save nothing and
+//     desynchronize cache contents between abort-on and abort-off
+//     runs. MaxRecords truncates them too, and Interrupt reaches them,
+//     or half of every replay would be uncancellable. The measured
+//     pass gets all of ctl; the returned bool reports whether an Abort
+//     probe stopped it.
 //
-// Every member's RunResult is byte-identical to its own ReplayCompiled
-// of the same ck/tr — all systems must therefore be freshly assembled,
-// for configurations sharing CompileOptions. interrupt/intrEvery are
-// ReplayCtl.Interrupt semantics applied to every walk; there is no
-// per-member truncation or abort (callers needing those replay
-// serially).
-func ReplayGroup(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) ([]*RunResult, error) {
+// Without Abort, every member's RunResult is byte-identical to its own
+// group of one — all systems must therefore be freshly assembled, for
+// configurations sharing CompileOptions. A member that fails (a
+// functional fault such as its instruction budget, an oracle
+// violation, ErrWarmState) gets a nil result and an error worded
+// "sim: <bench> on <config>: ..."; the others still complete, and the
+// first failed member's error in member order is returned next to
+// their results. An Interrupt error abandons the group with no results.
+func ReplayGroup(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayCtl) ([]*RunResult, bool, error) {
 	if len(systems) == 0 {
-		return nil, nil
+		return nil, false, nil
 	}
 	if width <= 0 {
 		width = len(systems)
 	}
-	if err := warmGroups(systems, width, ck, tr, interrupt, intrEvery); err != nil {
-		return nil, err
+	g := &groupReplay{ck: ck, tr: tr, width: width, errs: make(map[*System]error)}
+	warmCtl := ctl
+	if ctl != nil && ctl.Abort != nil {
+		wc := *ctl
+		wc.Abort, wc.CheckEvery = nil, 0
+		warmCtl = &wc
 	}
-	rs, err := gangPass(systems, width, ck, tr, interrupt, intrEvery)
+	if err := g.warm(systems, warmCtl); err != nil {
+		return nil, false, err
+	}
+	rs, aborted, err := g.pass(systems, ctl)
 	if err != nil {
-		return nil, fmt.Errorf("sim: gang replay of %s: %w", ck.Prog.Name, err)
+		return nil, false, err
 	}
 	out := make([]*RunResult, len(systems))
+	var first error
 	for i, s := range systems {
-		if err := s.CheckErr(); err != nil {
-			return nil, fmt.Errorf("sim: %s on %s: %w", ck.Prog.Name, s.Cfg.Name, err)
+		if err := g.errs[s]; err != nil {
+			if first == nil {
+				first = err
+			}
+			continue
 		}
 		out[i] = s.assemble(ck.Prog.Name, rs[i])
 	}
-	return out, nil
+	return out, aborted, first
 }
 
 // ErrWarmState marks a checked group replay in which a member's own
@@ -602,10 +593,25 @@ func ReplayGroup(systems []*System, width int, ck *compile.Compiled, tr *cpu.Tra
 // witness does not count (DESIGN.md §7.9).
 var ErrWarmState = errors.New("warm-up state differs from the warm group's representative")
 
-// warmGroups brings every member that is not ColdStart to its
-// post-warm-up, timing-reset state, one warm-up per warm group where
-// the representative's Witness proves sharing exact (see ReplayGroup).
-func warmGroups(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) error {
+// groupReplay is one ReplayGroup in progress: the kernel and trace its
+// members replay, the walk width, and the error of every member that
+// has failed.
+type groupReplay struct {
+	ck    *compile.Compiled
+	tr    *cpu.Trace
+	width int
+	errs  map[*System]error
+}
+
+// fail records a member's failure in the wording of every member error.
+func (g *groupReplay) fail(s *System, err error) {
+	g.errs[s] = fmt.Errorf("sim: %s on %s: %w", g.ck.Prog.Name, s.Cfg.Name, err)
+}
+
+// warm brings every member that is not ColdStart to its post-warm-up,
+// timing-reset state, one warm-up per warm group where the
+// representative's Witness proves sharing exact (see ReplayGroup).
+func (g *groupReplay) warm(systems []*System, ctl *ReplayCtl) error {
 	type group struct {
 		rep  *System
 		rest []*System
@@ -618,78 +624,95 @@ func warmGroups(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trac
 			continue
 		}
 		k := WarmKey(s.Cfg)
-		g := byKey[k]
-		if g == nil {
-			g = &group{rep: s}
-			byKey[k] = g
-			groups = append(groups, g)
+		wg := byKey[k]
+		if wg == nil {
+			wg = &group{rep: s}
+			byKey[k] = wg
+			groups = append(groups, wg)
 			own = append(own, s)
 			continue
 		}
-		g.rest = append(g.rest, s)
+		wg.rest = append(wg.rest, s)
 		if s.Cfg.Check {
 			own = append(own, s)
 		}
 	}
-	if err := warmPass(own, width, ck, tr, interrupt, intrEvery); err != nil {
+	if err := g.warmPass(own, ctl); err != nil {
 		return err
 	}
 
-	var late []*System // members of groups whose representative read a clock
-	for _, g := range groups {
-		shared := g.rep.Witness() == 0
-		for _, s := range g.rest {
+	var late []*System // members of groups whose representative read a clock or failed
+	for _, wg := range groups {
+		shared := g.errs[wg.rep] == nil && wg.rep.Witness() == 0
+		for _, s := range wg.rest {
 			switch {
 			case !s.Cfg.Check && shared:
-				s.copyWarm(g.rep)
+				s.copyWarm(wg.rep)
 			case !s.Cfg.Check:
 				late = append(late, s)
-			case shared: // checked members warmed up themselves: verify
-				if err := s.WarmDiff(g.rep); err != nil {
-					return fmt.Errorf("sim: %s on %s: %w %s: %v", ck.Prog.Name, s.Cfg.Name, ErrWarmState, g.rep.Cfg.Name, err)
+			case shared && g.errs[s] == nil: // checked members warmed up themselves: verify
+				if err := s.WarmDiff(wg.rep); err != nil {
+					g.fail(s, fmt.Errorf("%w %s: %v", ErrWarmState, wg.rep.Cfg.Name, err))
 				}
 			}
 		}
 	}
-	return warmPass(late, width, ck, tr, interrupt, intrEvery)
+	return g.warmPass(late, ctl)
 }
 
-// warmPass runs the warm-up pass of systems, ganged in walks of at most
-// width members, audits each under the oracle and resets its timing.
-func warmPass(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) error {
-	if len(systems) == 0 {
-		return nil
+// warmPass runs the warm-up pass of systems and resets the timing of
+// every member that completed it.
+func (g *groupReplay) warmPass(systems []*System, ctl *ReplayCtl) error {
+	rs, _, err := g.pass(systems, ctl)
+	if err != nil {
+		return err
 	}
-	if _, err := gangPass(systems, width, ck, tr, interrupt, intrEvery); err != nil {
-		return fmt.Errorf("sim: gang warm-up of %s: %w", ck.Prog.Name, err)
-	}
-	for _, s := range systems {
+	for i, s := range systems {
 		s.warmUps++
-		if err := s.CheckErr(); err != nil {
-			return fmt.Errorf("sim: %s on %s: %w", ck.Prog.Name, s.Cfg.Name, err)
+		if rs[i] != nil {
+			s.ResetTiming()
 		}
-		s.ResetTiming()
 	}
 	return nil
 }
 
-// gangPass replays one pass of every system, in trace walks of at most
-// width members, and returns the results in member order.
-func gangPass(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) ([]*cpu.Result, error) {
-	out := make([]*cpu.Result, 0, len(systems))
-	for lo := 0; lo < len(systems); lo += width {
-		batch := systems[lo:min(lo+width, len(systems))]
-		cpus := make([]*cpu.CPU, len(batch))
-		for i, s := range batch {
-			cpus[i] = s.CPU
+// pass replays one pass of every member that has not failed, in trace
+// walks of at most width members, and audits each under the oracle. It
+// returns the results in member order, nil for a failed member, and
+// whether an Abort probe stopped a walk.
+func (g *groupReplay) pass(systems []*System, ctl *ReplayCtl) ([]*cpu.Result, bool, error) {
+	var live []int
+	for i, s := range systems {
+		if g.errs[s] == nil {
+			live = append(live, i)
 		}
-		rs, err := cpu.ReplayTraceGang(tr, cpus, interrupt, intrEvery)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rs...)
 	}
-	return out, nil
+	out := make([]*cpu.Result, len(systems))
+	aborted := false
+	for lo := 0; lo < len(live); lo += g.width {
+		walk := live[lo:min(lo+g.width, len(live))]
+		cpus := make([]*cpu.CPU, len(walk))
+		for j, i := range walk {
+			cpus[j] = systems[i].CPU
+		}
+		rs, faults, ab, err := cpu.ReplayTraceGang(g.tr, cpus, ctl)
+		if err != nil {
+			return nil, false, fmt.Errorf("sim: %s on %s: %w", g.ck.Prog.Name, systems[walk[0]].Cfg.Name, err)
+		}
+		aborted = aborted || ab
+		for j, i := range walk {
+			err := faults[j]
+			if err == nil {
+				err = systems[i].CheckErr()
+			}
+			if err != nil {
+				g.fail(systems[i], err)
+				continue
+			}
+			out[i] = rs[j]
+		}
+	}
+	return out, aborted, nil
 }
 
 // Witness sums the hierarchy's clock-reading functional decisions since

@@ -29,6 +29,9 @@ go run ./cmd/sttexplore run paper | cmp - results_paper.txt
 # The rendered tables round penalties; the counter golden pins every
 # raw RunResult counter underneath them.
 go run ./scripts/counters | cmp - results_counters.json
+# The guided search (DESIGN.md §7.5) is the only user of truncated and
+# early-aborted replay; its frontier pins those paths' bytes.
+go run ./cmd/sttexplore dse -space proposal -search guided -budget 40 -seed 1 -bench atax,gemver | cmp - results_guided.txt
 
 go test -race ./...
 # Recycled cache arrays (DESIGN.md §7.9) move between goroutines through
