@@ -306,6 +306,43 @@ func TestRunawayTimedBudget(t *testing.T) {
 	}
 }
 
+// TestBudgetFaultText pins the budget fault's message on every path
+// that raises it: live timing, functional interpretation, capture and
+// replay. A budget stops the core between instructions, so the message
+// names none.
+func TestBudgetFaultText(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MaxInsts = 1000
+	c := &CPU{Cfg: cfg, IMem: fastMem{1}, DMem: fastMem{1}}
+	loop := &isa.Program{DataSize: 64, Insts: []isa.Inst{
+		{Op: isa.OpNOP},
+		{Op: isa.OpB, Imm: -1},
+		{Op: isa.OpHALT},
+	}}
+	const want = "cpu: fault at pc=1: instruction budget 1000 exhausted (runaway loop?)"
+	_, live := c.Run(loop)
+	_, interp := InterpretState(loop, NewState(loop), 1000)
+	_, capture := Capture(loop, NewState(loop), 1000)
+	for name, err := range map[string]error{"live": live, "interpret": interp, "capture": capture} {
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", name, err, want)
+		}
+	}
+
+	prog := kernelProg(4)
+	tr, err := Capture(prog, NewState(prog), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, replay := c.ReplayTrace(tr)
+	_, live = c.Run(prog)
+	if replay == nil || live == nil || replay.Error() != live.Error() ||
+		!strings.HasSuffix(replay.Error(), ": instruction budget 1000 exhausted (runaway loop?)") ||
+		strings.Contains(replay.Error(), "(invalid)") {
+		t.Errorf("replay err = %v, live err = %v", replay, live)
+	}
+}
+
 func TestPCOutOfRangeFault(t *testing.T) {
 	c := newCPU(fastMem{1})
 	prog := &isa.Program{DataSize: 64, Insts: []isa.Inst{

@@ -23,12 +23,18 @@ import (
 // Fault describes a functional execution error (bad memory access,
 // division by zero, illegal instruction, runaway loop).
 type Fault struct {
-	PC   int
+	PC int
+	// Inst is the faulting instruction. The zero Inst means none is
+	// known (an instruction budget runs out between instructions), and
+	// Error leaves it out.
 	Inst isa.Inst
 	Msg  string
 }
 
 func (f *Fault) Error() string {
+	if f.Inst == (isa.Inst{}) {
+		return fmt.Sprintf("cpu: fault at pc=%d: %s", f.PC, f.Msg)
+	}
 	return fmt.Sprintf("cpu: fault at pc=%d (%s): %s", f.PC, f.Inst, f.Msg)
 }
 

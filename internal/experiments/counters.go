@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
 	"strings"
 
@@ -79,7 +78,7 @@ func (s *Suite) CounterGolden() ([]byte, error) {
 				}
 				first = false
 				fmt.Fprintf(&b, "{%q:%q", "run", set.name+" / "+cfg.Name+" / "+bench.Name)
-				appendCounters(&b, "", reflect.ValueOf(*r))
+				appendCounters(&b, r)
 				b.WriteString("}")
 			}
 		}
@@ -88,29 +87,15 @@ func (s *Suite) CounterGolden() ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
-// appendCounters writes every integer field reachable from v as
-// `,"Path.Field":value`, descending into structs and struct pointers.
-// The configuration and the final architectural state are inputs and
-// outputs of the run, not counters, and are skipped.
-func appendCounters(b *strings.Builder, prefix string, v reflect.Value) {
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f, fv := t.Field(i), v.Field(i)
-		if !f.IsExported() || f.Name == "Config" || f.Name == "State" {
-			continue
+// appendCounters writes every counter of r (sim.RunResult.Counters)
+// as `,"Path.Field":value`.
+func appendCounters(b *strings.Builder, r *sim.RunResult) {
+	r.Counters(func(c sim.Counter) {
+		fmt.Fprintf(b, ",%q:", c.Name)
+		if c.Int != nil {
+			b.WriteString(strconv.FormatInt(*c.Int, 10))
+		} else {
+			b.WriteString(strconv.FormatUint(*c.Uint, 10))
 		}
-		name := prefix + f.Name
-		switch fv.Kind() {
-		case reflect.Pointer:
-			if !fv.IsNil() {
-				appendCounters(b, name+".", fv.Elem())
-			}
-		case reflect.Struct:
-			appendCounters(b, name+".", fv)
-		case reflect.Int, reflect.Int64:
-			fmt.Fprintf(b, ",%q:%s", name, strconv.FormatInt(fv.Int(), 10))
-		case reflect.Uint, reflect.Uint64:
-			fmt.Fprintf(b, ",%q:%s", name, strconv.FormatUint(fv.Uint(), 10))
-		}
-	}
+	})
 }

@@ -368,10 +368,11 @@ func (s *Suite) execute(ctx context.Context, b polybench.Bench, members []gangMe
 		if ctl == nil {
 			if key, ok := s.storeKey(ctx, b, m.cfg, m.canon); ok {
 				if rec, hit := s.store.Get(key); hit {
-					// A fresh run reports the defaults-resolved requested
-					// config (sim.New applies them); mirror that so a hit is
+					// A record stores no config (store.Record). A fresh run
+					// reports the defaults-resolved requested config
+					// (sim.New applies them); set that so a hit is
 					// indistinguishable downstream. The record is freshly
-					// decoded, never shared, so the rewrite is safe.
+					// decoded, never shared, so the write is safe.
 					rec.Result.Config = sim.ApplyDefaults(m.cfg)
 					results[i], cached[i] = rec.Result, true
 					continue

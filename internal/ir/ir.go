@@ -17,7 +17,8 @@ type Array struct {
 	Name string
 	Dims []int
 	// Init gives the element value at idx before the kernel runs
-	// (PolyBench-style deterministic initialization). nil means zero.
+	// (PolyBench-style deterministic initialization); it must not modify
+	// idx. nil means zero.
 	Init func(idx []int) float32
 	// Base is the byte address assigned by Layout.
 	Base uint32

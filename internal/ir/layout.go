@@ -49,6 +49,9 @@ func roundUp(x, to int) int { return (x + to - 1) / to * to }
 
 // InitData writes every array's initial contents into data (the start of
 // the functional memory image), which must be at least Layout()'s size.
+// Elements go in row-major order, the index vector stepping like an
+// odometer (last dimension fastest), so no element pays a division per
+// dimension to recover its index.
 func InitData(k *Kernel, data []byte) error {
 	for _, a := range k.Arrays {
 		if int(a.Base)+a.Elems()*4 > len(data) {
@@ -58,9 +61,15 @@ func InitData(k *Kernel, data []byte) error {
 			continue
 		}
 		idx := make([]int, len(a.Dims))
-		for e := 0; e < a.Elems(); e++ {
-			linearToIdx(e, a.Dims, idx)
-			putF32(data[a.Base+uint32(4*e):], a.Init(idx))
+		out := data[a.Base : int(a.Base)+a.Elems()*4]
+		for off := 0; off < len(out); off += 4 {
+			putF32(out[off:], a.Init(idx))
+			for d := len(idx) - 1; d >= 0; d-- {
+				if idx[d]++; idx[d] < a.Dims[d] {
+					break
+				}
+				idx[d] = 0
+			}
 		}
 	}
 	return nil
@@ -73,11 +82,4 @@ func ReadArray(a *Array, data []byte) []float32 {
 		out[e] = getF32(data[a.Base+uint32(4*e):])
 	}
 	return out
-}
-
-func linearToIdx(e int, dims, idx []int) {
-	for d := len(dims) - 1; d >= 0; d-- {
-		idx[d] = e % dims[d]
-		e /= dims[d]
-	}
 }

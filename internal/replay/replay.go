@@ -18,6 +18,7 @@ import (
 
 	"sttdl1/internal/compile"
 	"sttdl1/internal/cpu"
+	"sttdl1/internal/ir"
 	"sttdl1/internal/isa"
 	"sttdl1/internal/polybench"
 	"sttdl1/internal/runner"
@@ -98,8 +99,8 @@ func (c *Cache) Trace(ctx context.Context, b polybench.Bench, opts compile.Optio
 // Digest returns the functional digest of b under opts: SHA-256 over
 // length-delimited fields for FunctionalVersion, the program name, the
 // encoded program, its data-segment size and the initial memory image
-// (sim.InitialState, after ir.InitData) — every input the captured
-// trace is a function of. It compiles (memoized,
+// (sim.InitialState's, hashed without building a State) — every input
+// the captured trace is a function of. It compiles (memoized,
 // shared with Trace) on first use but never captures, which is what
 // lets a stored evaluation be found without executing the kernel. The
 // persistent store keys on it (internal/store); TestFunctionalDigests
@@ -142,32 +143,43 @@ func (c *Cache) variant(ctx context.Context, k string, b polybench.Bench, opts c
 
 // functionalDigest hashes the inputs that determine ck's trace (see
 // Digest). Fields are length-delimited so no two distinct field tuples
-// collide by concatenation.
+// collide by concatenation. The image field is sim.InitialState's
+// memory, the data segment ir.InitData fills and the zeroed stack above
+// it, hashed from a data-segment buffer and zeroStack: a State is built
+// only for a capture or a live run.
 func functionalDigest(ck *compile.Compiled) ([sha256.Size]byte, error) {
 	code, err := isa.EncodeProgram(ck.Prog)
 	if err != nil {
 		return [sha256.Size]byte{}, fmt.Errorf("digest: %w", err)
 	}
-	st, err := sim.InitialState(ck)
-	if err != nil {
+	data := make([]byte, ck.Prog.DataSize)
+	if err := ir.InitData(ck.Kernel, data); err != nil {
 		return [sha256.Size]byte{}, err
 	}
 	h := sha256.New()
 	var n [8]byte
-	field := func(p []byte) {
-		binary.LittleEndian.PutUint64(n[:], uint64(len(p)))
+	length := func(l int) {
+		binary.LittleEndian.PutUint64(n[:], uint64(l))
 		h.Write(n[:])
+	}
+	field := func(p []byte) {
+		length(len(p))
 		h.Write(p)
 	}
 	field([]byte("sttfunc/v" + strconv.Itoa(FunctionalVersion)))
 	field([]byte(ck.Prog.Name))
 	field(code)
 	field(strconv.AppendInt(nil, int64(ck.Prog.DataSize), 10))
-	field(st.Mem)
+	length(len(data) + len(zeroStack))
+	h.Write(data)
+	h.Write(zeroStack[:])
 	var d [sha256.Size]byte
 	h.Sum(d[:0])
 	return d, nil
 }
+
+// zeroStack is the stack region of every initial image.
+var zeroStack [cpu.StackBytes]byte
 
 // Run executes bench b under cfg by timing replay: RunGang of one
 // configuration. The result is byte-identical to sim.Run for the same

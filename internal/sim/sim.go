@@ -449,13 +449,15 @@ func (s *System) assemble(bench string, res *cpu.Result) *RunResult {
 }
 
 // InitialState is the architectural state every pass of ck starts
-// from: fresh registers and the data segment initialized by the
-// kernel's array initializers. Live runs, trace capture and the
-// functional digest the persistent store keys on (replay.Cache.Digest)
-// all start here, so what the digest hashes is what the capture runs.
+// from: fresh registers, the ck.Prog.DataSize-byte data segment
+// initialized by ir.InitData, and cpu.StackBytes of zeroed stack above
+// it. Live runs and trace capture start here; the functional digest the
+// persistent store keys on (replay.Cache.Digest) hashes the same image
+// built the same way, without a State, so what the digest hashes is
+// what the capture runs.
 func InitialState(ck *compile.Compiled) (*cpu.State, error) {
 	st := cpu.NewState(ck.Prog)
-	if err := ir.InitData(ck.Kernel, st.Mem); err != nil {
+	if err := ir.InitData(ck.Kernel, st.Mem[:ck.Prog.DataSize]); err != nil {
 		return nil, err
 	}
 	return st, nil

@@ -1,6 +1,9 @@
 package store
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -57,43 +60,77 @@ func TestScanAndVerify(t *testing.T) {
 }
 
 // TestVerifyCountsStaleSchemaApart pins the schema-bump contract: an
-// intact record written under an older SchemaVersion is removed by a
-// deep scan but reported as stale, never as corruption.
+// intact record written under an older SchemaVersion, under another
+// counter layout, or as a JSON-era STTEVAL1 record (testdata/schema5.rec,
+// written by the schema-5 codec) is removed by a deep scan but reported
+// as stale, never as corruption.
 func TestVerifyCountsStaleSchemaApart(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := fill(t, s, 3)
+	keys := fill(t, s, 5)
 	old := NewRecord("gemm", 32, testResult())
 	old.Schema = SchemaVersion - 1
-	data, err := EncodeRecord(old)
+	oldSchema, err := EncodeRecord(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(keys[0]), data, 0o666); err != nil {
+	jsonEra, err := os.ReadFile("testdata/schema5.rec")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(keys[1]), []byte("not a record"), 0o666); err != nil {
-		t.Fatal(err)
+	if _, err := DecodeRecord(jsonEra); !errors.Is(err, errStaleSchema) {
+		t.Fatalf("JSON-era record decodes to %v, want a stale-schema error", err)
+	}
+	for k, data := range map[Key][]byte{
+		keys[0]: oldSchema,
+		keys[1]: []byte("not a record"),
+		keys[2]: jsonEra,
+		keys[3]: otherLayout(t),
+	} {
+		if err := os.WriteFile(s.path(k), data, 0o666); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	v, err := s.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Records != 1 || v.Healed != 1 || v.Stale != 1 {
-		t.Fatalf("Verify = %+v, want 1 surviving record, 1 heal, 1 stale", v)
+	if v.Records != 1 || v.Healed != 1 || v.Stale != 3 {
+		t.Fatalf("Verify = %+v, want 1 surviving record, 1 heal, 3 stale", v)
 	}
 	if got := s.Stats().Corrupt; got != 1 {
-		t.Errorf("corrupt counter = %d, want 1 (the stale record is not corruption)", got)
+		t.Errorf("corrupt counter = %d, want 1 (the stale records are not corruption)", got)
 	}
-	if got, want := v.String(), ", 1 corrupt entry(ies) healed, 1 stale-schema record(s) removed"; !strings.HasSuffix(got, want) {
+	if got, want := v.String(), ", 1 corrupt entry(ies) healed, 3 stale-schema record(s) removed"; !strings.HasSuffix(got, want) {
 		t.Errorf("DirStats.String() = %q, want suffix %q", got, want)
 	}
-	if _, found := s.Get(keys[0]); found {
-		t.Error("stale record still served")
+	for _, k := range []Key{keys[0], keys[2], keys[3]} {
+		if _, found := s.Get(k); found {
+			t.Error("stale record still served")
+		}
 	}
+}
+
+// otherLayout is an intact current-schema record whose layout
+// fingerprint names another counter list.
+func otherLayout(t *testing.T) []byte {
+	t.Helper()
+	rec := NewRecord("gemm", 32, testResult())
+	data, err := EncodeRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := headerBytes + 8 + 8 + len(rec.Bench) + 8
+	if !bytes.Equal(data[fp:fp+len(layout.fingerprint)], layout.fingerprint[:]) {
+		t.Fatal("fingerprint not at the expected offset")
+	}
+	data[fp] ^= 0xff
+	sum := sha256.Sum256(data[headerBytes:])
+	copy(data[len(recordMagic)+8:], sum[:])
+	return data
 }
 
 func TestGCEvictsOldestFirst(t *testing.T) {

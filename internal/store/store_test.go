@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"sttdl1/internal/cpu"
 	"sttdl1/internal/sim"
@@ -66,11 +67,119 @@ func TestRecordRoundTrip(t *testing.T) {
 	if *got.Result.CPU != want {
 		t.Errorf("decoded CPU counters = %+v, want %+v", *got.Result.CPU, want)
 	}
-	if got.Result.Config != res.Config {
-		t.Errorf("decoded config = %+v, want %+v", got.Result.Config, res.Config)
+	if got.Result.Bench != "gemm" {
+		t.Errorf("decoded Result.Bench = %q, want the record's bench", got.Result.Bench)
 	}
-	if got.Result.DL1Stats != res.DL1Stats || got.Result.DL1BankConflictCycles != res.DL1BankConflictCycles {
-		t.Error("decoded DL1 stats differ from the original")
+	if want := counters(res); !reflect.DeepEqual(counters(got.Result), want) {
+		t.Errorf("decoded counters = %v, want %v", counters(got.Result), want)
+	}
+}
+
+// counters lists every counter of r by name.
+func counters(r *sim.RunResult) map[string]uint64 {
+	m := make(map[string]uint64)
+	r.Counters(func(c sim.Counter) {
+		if c.Int != nil {
+			m[c.Name] = uint64(*c.Int)
+		} else {
+			m[c.Name] = *c.Uint
+		}
+	})
+	return m
+}
+
+// eachInteger calls f on every integer field reachable from v, except
+// those of the configuration and the final architectural state,
+// descending into structs and non-nil struct pointers. It walks the type
+// itself rather than sim.RunResult.Counters, so a counter the walker
+// leaves out is still seen here.
+func eachInteger(v reflect.Value, prefix string, f func(name string, fv reflect.Value)) {
+	for i := 0; i < v.NumField(); i++ {
+		sf, fv := v.Type().Field(i), v.Field(i)
+		if !sf.IsExported() || sf.Name == "Config" || sf.Name == "State" {
+			continue
+		}
+		switch fv.Kind() {
+		case reflect.Pointer:
+			if !fv.IsNil() {
+				eachInteger(fv.Elem(), prefix+sf.Name+".", f)
+			}
+		case reflect.Struct:
+			eachInteger(fv, prefix+sf.Name+".", f)
+		case reflect.Int, reflect.Int64, reflect.Uint, reflect.Uint64:
+			f(prefix+sf.Name, fv)
+		}
+	}
+}
+
+// TestRecordRoundTripEveryCounter gives every integer field of a
+// RunResult a distinct value and requires the decoded result to equal
+// the original in all of them: a field the counter walker leaves out
+// comes back zero and fails here.
+func TestRecordRoundTripEveryCounter(t *testing.T) {
+	res := &sim.RunResult{Bench: "atax", CPU: &cpu.Result{}}
+	var n int64
+	eachInteger(reflect.ValueOf(res).Elem(), "", func(_ string, fv reflect.Value) {
+		n++
+		if fv.CanInt() {
+			fv.SetInt(n * -7919) // negative: the sign must survive
+		} else {
+			fv.SetUint(uint64(n)<<40 | uint64(n))
+		}
+	})
+	walked := int64(0)
+	res.Counters(func(sim.Counter) { walked++ })
+	if walked != n {
+		t.Errorf("the counter walker yields %d counters, RunResult has %d integer fields", walked, n)
+	}
+	data, err := EncodeRecord(NewRecord("atax", 40, res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRecord(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]any)
+	eachInteger(reflect.ValueOf(res).Elem(), "", func(name string, fv reflect.Value) { want[name] = fv.Interface() })
+	eachInteger(reflect.ValueOf(got.Result).Elem(), "", func(name string, fv reflect.Value) {
+		if fv.Interface() != want[name] {
+			t.Errorf("%s = %v after the round trip, want %v", name, fv.Interface(), want[name])
+		}
+	})
+	if !reflect.DeepEqual(got.Result, res) {
+		t.Error("round trip changed the result")
+	}
+}
+
+// TestRecordRoundTripQuick is the round trip as a property over random
+// counters, bench names and sizes.
+func TestRecordRoundTripQuick(t *testing.T) {
+	prop := func(vals []uint64, bench string, size int) bool {
+		res := &sim.RunResult{Bench: bench, CPU: &cpu.Result{}}
+		i := 0
+		res.Counters(func(c sim.Counter) {
+			var v uint64
+			if len(vals) > 0 {
+				v = vals[i%len(vals)] + uint64(i)
+			}
+			i++
+			if c.Int != nil {
+				*c.Int = int64(v)
+			} else {
+				*c.Uint = v
+			}
+		})
+		data, err := EncodeRecord(NewRecord(bench, size, res))
+		if err != nil {
+			return false
+		}
+		got, err := DecodeRecord(data)
+		return err == nil && got.Schema == SchemaVersion && got.Bench == bench &&
+			got.Size == size && reflect.DeepEqual(got.Result, res)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -82,7 +191,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":          nil,
 		"short":          valid[:10],
-		"header only":    valid[:len("STTEVAL1")+8+sha256.Size],
+		"header only":    valid[:headerBytes],
 		"bad magic":      append([]byte("NOTAMAGIC"), valid[9:]...),
 		"truncated tail": valid[:len(valid)-7],
 		"extended tail":  append(append([]byte{}, valid...), 'x'),
@@ -96,7 +205,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	// bound must reject before any giant allocation.
 	huge := append([]byte{}, valid...)
 	for i := 0; i < 8; i++ {
-		huge[len("STTEVAL1")+i] = 0xff
+		huge[len(recordMagic)+i] = 0xff
 	}
 	cases["huge length"] = huge
 
@@ -290,4 +399,31 @@ func TestEncodeStable(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Error("equal records encode to different bytes")
 	}
+}
+
+// BenchmarkRecordCodec prices one record through the codec, the part
+// of a store hit or write that is not file I/O.
+func BenchmarkRecordCodec(b *testing.B) {
+	rec := NewRecord("gemm", 32, testResult())
+	data, err := EncodeRecord(rec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := EncodeRecord(rec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeRecord(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

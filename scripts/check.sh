@@ -13,6 +13,9 @@ go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
 go test ./...
+# The store's record decoder parses bytes from disk by hand (DESIGN.md
+# §7.7): fuzz it briefly from the committed corpus on every check.
+go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 15s ./internal/store
 # The benchmark harness is a separate module (perfbench/go.mod replaces
 # sttdl1 with this tree), so the root build and tests never compile it.
 (cd perfbench && go vet ./... && go test ./...)
