@@ -289,8 +289,8 @@ func BenchmarkDSEProposalSweep(b *testing.B) {
 }
 
 // BenchmarkReplaySweep measures the replay engine itself on the smoke
-// sweep, cold (no store — every point runs its timing pass, ganged at
-// the automatic width). scripts/bench.sh records it in
+// sweep, cold (no store — every point runs its timing pass, in warm
+// groups). scripts/bench.sh records it in
 // BENCH_sweep.json's "replay" section.
 func BenchmarkReplaySweep(b *testing.B) {
 	sp, ok := dse.ByName("smoke")

@@ -529,6 +529,39 @@ func TestEMSHRFetchBypassesPort(t *testing.T) {
 	}
 }
 
+// slowLinePort serves line 0 in 20 cycles and every other line in 4:
+// an IL1 whose first miss goes to L2 while the next one hits.
+type slowLinePort struct{}
+
+func (slowLinePort) Access(now int64, req mem.Req) int64 {
+	if req.Addr < 64 {
+		return now + 20
+	}
+	return now + 4
+}
+
+// TestEMSHRFetchBusyClockMonotone overlaps two fetch misses: the second
+// line's refill completes before the first's, and the port's busy clock
+// must stay at the later of the two instead of moving backward.
+func TestEMSHRFetchBusyClockMonotone(t *testing.T) {
+	m := NewEMSHR(DefaultEMSHRConfig(), slowLinePort{})
+	last := m.BusyClocks()[0]
+	for _, f := range []struct {
+		now  int64
+		addr mem.Addr
+	}{{10, 0}, {11, 64}, {12, 128}} {
+		m.Access(f.now, mem.Req{Addr: f.addr, Bytes: 8, Kind: mem.Fetch})
+		if b := m.BusyClocks()[0]; b < last {
+			t.Fatalf("fetch %#x at %d: busy clock moved backward %d -> %d", f.addr, f.now, last, b)
+		} else {
+			last = b
+		}
+	}
+	if last != 32 {
+		t.Errorf("busy clock %d, want 32 (the first refill's end)", last)
+	}
+}
+
 func TestWriteBackKindPassesThrough(t *testing.T) {
 	// Kinds the front-ends do not special-case flow to the DL1.
 	p := &nvmPort{}

@@ -141,11 +141,15 @@ func (m *EMSHR) Access(now int64, req mem.Req) int64 {
 // allocate fills an entry with lineAddr; the critical word reaches the
 // core at the DL1's read completion, the rest of the line streams in over
 // the narrow interface afterwards. Retained lines are clean by
-// construction (stores never enter), so eviction is silent.
+// construction (stores never enter), so eviction is silent. A fetch
+// miss starts without waiting for the port, so its refill can end before
+// an earlier one still streaming: the port stays busy until the later.
 func (m *EMSHR) allocate(now int64, lineAddr mem.Addr) int64 {
 	critical := m.dl1.Access(now, mem.Req{Addr: lineAddr, Bytes: m.buf.lineSize, Kind: mem.Fill})
 	m.Allocations++
-	m.portFree = critical + m.beats
+	if f := critical + m.beats; f > m.portFree {
+		m.portFree = f
+	}
 	victim := m.buf.victim(now)
 	*victim = entry{lineAddr: lineAddr, valid: true, ready: critical + m.beats}
 	m.buf.touch(victim)

@@ -45,7 +45,7 @@ func DefaultConfig() Config {
 
 // withDefaults fills the fields a zero Config leaves unusable (issue
 // width, queue depths, instruction budget) with DefaultConfig's values.
-// Every timing pass — live, replayed or ganged — runs on the result.
+// Every timing pass, live or replayed, runs on the result.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.IssueWidth <= 0 {

@@ -9,11 +9,11 @@
 // end, the timing oracle's wrapper) leaves the stream closed, so its
 // CurLine sentinel never matches and every fetch takes imem.Access.
 //
-// The kernel runs records [lo, hi), so the one driver (ReplayTraceGang,
-// gang.go) hoists all partial-replay control — truncation, budgets,
-// abort probes, interrupt probes — out of the loop into range
+// The kernel runs records [lo, hi), so the one driver
+// (CPU.ReplayTraceCtl) hoists all partial-replay control — truncation,
+// budgets, abort probes, interrupt probes — out of the loop into range
 // boundaries: a probe every K records becomes a kernel call of K
-// records, and the common nil-ctl replay is one call per walk chunk
+// records, and the common nil-ctl replay is one call for the whole pass
 // with zero per-record control overhead. Live execution (CPU.RunState)
 // is the independent reference the kernel is checked against (the
 // Fig. 3 equivalence matrix in internal/replay).
@@ -40,8 +40,8 @@ func pos64(d int64) int64 { return d &^ (d >> 63) }
 
 // replayState is the complete loop-carried state of one configuration's
 // timing pass, factored out of the loop so the kernel can run it in record
-// ranges (probe intervals, walk chunks). The sbuf/lq slices alias the
-// embedded arrays, so a replayState must not be copied once built.
+// ranges (probe intervals). The sbuf/lq slices alias the embedded arrays,
+// so a replayState must not be copied once built.
 type replayState struct {
 	// Loop-carried scalars (see RunState for their meaning).
 	lastIssue  int64
@@ -59,10 +59,6 @@ type replayState struct {
 	lqHead     int
 	nextMp     int
 	mpK        int
-	// end is the record count the pass stops at; budgeted marks an end
-	// set by the MaxInsts budget, where the pass faults.
-	end      int
-	budgeted bool
 
 	// Pass-immutable geometry and streams.
 	issueWidth int

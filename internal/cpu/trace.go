@@ -23,6 +23,7 @@
 package cpu
 
 import (
+	"fmt"
 	"sync"
 
 	"sttdl1/internal/isa"
@@ -314,9 +315,10 @@ type ReplayCtl struct {
 	CheckEvery int
 	// Abort, when non-nil, is called every CheckEvery records with the
 	// pass's current cycle lower bound (the final cycle count can only
-	// be larger; in a walk of several members, the smallest one).
-	// Returning true abandons the replay; the partial Result reflects
-	// the records retired so far.
+	// be larger). Each pass probes with its own bound, so in a group
+	// replay one member's abort never cuts another's pass. Returning
+	// true abandons the replay; the partial Result reflects the records
+	// retired so far.
 	Abort func(cyclesSoFar int64) bool
 	// Interrupt, when non-nil, is probed every InterruptEvery records in
 	// every pass — unlike Abort it also runs during the warm-up, whose
@@ -338,17 +340,89 @@ type ReplayCtl struct {
 // the trace: cycles, every stall counter, and every memory access
 // presented to IMem/DMem are byte-identical to a live run of the same
 // program under the same configuration (enforced by
-// TestReplayMatchesLive* and the Fig. 3 equivalence matrix). It is a
-// walk of one member without control (ReplayTraceGang); a trace longer
-// than the MaxInsts budget returns the budget's partial Result with the
-// budget Fault.
+// TestReplayMatchesLive* and the Fig. 3 equivalence matrix). It is
+// ReplayTraceCtl without control; a trace longer than the MaxInsts
+// budget returns the budget's partial Result with the budget Fault.
 //
 // The returned Result shares the trace's Final architectural state; it
 // must be treated as read-only.
 func (c *CPU) ReplayTrace(tr *Trace) (*Result, error) {
-	res, faults, _, err := ReplayTraceGang(tr, []*CPU{c}, nil)
-	if err != nil {
-		return nil, err
+	res, _, err := c.ReplayTraceCtl(tr, nil)
+	return res, err
+}
+
+// ReplayTraceCtl is the one replay driver (DESIGN.md §7.9): it replays
+// tr on c under ctl in record ranges that end only at the next Abort or
+// Interrupt probe or at the pass's end, so the replay loop itself
+// carries no control arithmetic.
+//
+// The pass ends at ctl.MaxRecords (0 = the whole trace) or, when the
+// trace is longer than the MaxInsts budget, at that budget: the Result
+// then holds the budget's prefix and the error is the budget *Fault. An
+// Abort probe is called with the pass's cycle lower bound; returning
+// true stops the pass there, with the prefix's Result and aborted set.
+// A non-nil Interrupt return abandons the pass with that error and no
+// Result.
+func (c *CPU) ReplayTraceCtl(tr *Trace, ctl *ReplayCtl) (res *Result, aborted bool, err error) {
+	var rc ReplayCtl
+	if ctl != nil {
+		rc = *ctl
 	}
-	return res[0], faults[0]
+	st := newReplayState(c, tr)
+	end := tr.Len()
+	if rc.MaxRecords > 0 && rc.MaxRecords < end {
+		end = rc.MaxRecords
+	}
+	budgeted := st.maxInsts < uint64(tr.Len()) && st.maxInsts <= uint64(end)
+	if budgeted {
+		end = int(st.maxInsts)
+	}
+	nextProbe := -1 // record count of the next Abort probe (-1 = never)
+	if rc.Abort != nil && rc.CheckEvery > 0 {
+		nextProbe = rc.CheckEvery
+	}
+	nextIntr, intrEvery := -1, 0 // record count of the next Interrupt probe
+	if rc.Interrupt != nil {
+		intrEvery = rc.InterruptEvery
+		if intrEvery <= 0 {
+			intrEvery = 1 << 16
+		}
+		nextIntr = intrEvery
+	}
+	for pos := 0; pos < end; {
+		hi := end
+		if nextProbe > 0 {
+			hi = min(hi, nextProbe)
+		}
+		if nextIntr > 0 {
+			hi = min(hi, nextIntr)
+		}
+		st.run(pos, hi)
+		pos = hi
+		if pos == nextProbe {
+			if rc.Abort(st.maxDone) { // maxDone only grows: a sound lower bound
+				aborted = true
+				if pos < end {
+					end, budgeted = pos, false
+				}
+				break
+			}
+			nextProbe += rc.CheckEvery
+		}
+		// Interrupt probe: abandon the pass with the probe's error. The
+		// system is discarded with it, so its open fetch stream's
+		// unflushed bookkeeping is irrelevant.
+		if pos == nextIntr {
+			if err := rc.Interrupt(); err != nil {
+				return nil, false, err
+			}
+			nextIntr += intrEvery
+		}
+	}
+	res = st.finish(end)
+	if budgeted {
+		pc := tr.chunks[end>>chunkShift].pcs[end&chunkMask] // the first record past the budget
+		err = &Fault{PC: int(pc), Msg: fmt.Sprintf("instruction budget %d exhausted (runaway loop?)", st.maxInsts)}
+	}
+	return res, aborted, err
 }

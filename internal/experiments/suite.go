@@ -85,17 +85,6 @@ func (s *Suite) SetProgress(fn stats.ProgressFunc) { s.pool.SetProgress(fn) }
 // experiments.
 func (s *Suite) SetCheck(on bool) { s.check = on }
 
-// gangWidthFor is the gang-replay width for one benchmark (DESIGN.md
-// §7.9): wide batches amortize the trace walk, but every member carries
-// a private DL1+L2 model whose hot lines compete in the host cache, so
-// large problem sizes (bigger live sets per member) gang narrower.
-func gangWidthFor(b polybench.Bench) int {
-	if b.Default > 48 {
-		return 4
-	}
-	return 8
-}
-
 // SetStore installs a persistent evaluation store as a second memo tier
 // behind the in-memory pool (the sttexplore -store flag; off by
 // default). Results are byte-identical with or without it — a stored
@@ -284,7 +273,7 @@ type gangMember struct {
 // group, of one member or more, runs as one pool task keyed by its
 // first member (execute, DESIGN.md §7.9): one warm-up for the whole
 // group where the representative's witness proves sharing exact, then
-// the measured passes ganged in walks of the benchmark's gang width.
+// each member's measured pass.
 // The other members' results are published into the memo as the task
 // completes, so the engine's accounting still sees exactly one
 // completion per unique simulation. Tasks are submitted in sorted key
@@ -351,10 +340,10 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 // slot and returns the first member's result; it is the suite's only
 // path to a simulation. A full run (nil ctl) takes each member from the
 // persistent store when it holds one, replays the misses as one group
-// (replay.RunGang: shared warm-up, measured passes ganged at the
-// benchmark's gang width) and publishes them to the store under the key
-// it looked up, then publishes every member but the first into the memo
-// (the first is the caller's task). A member that fails gets no result
+// (replay.RunGang: shared warm-up, then each member's measured pass)
+// and publishes them to the store under the key it looked up, then
+// publishes every member but the first into the memo (the first is the
+// caller's task). A member that fails gets no result
 // and its error fails the call once the others are published. A partial
 // run (non-nil ctl) describes a prefix, so it skips the store and the
 // memo; the returned bool reports whether its measured pass aborted.
@@ -387,7 +376,7 @@ func (s *Suite) execute(ctx context.Context, b polybench.Bench, members []gangMe
 	var err error
 	if len(miss) > 0 {
 		var rs []*sim.RunResult
-		rs, aborted, err = replay.RunGang(ctx, s.traces, b, cfgs, gangWidthFor(b), ctl)
+		rs, aborted, err = replay.RunGang(ctx, s.traces, b, cfgs, ctl)
 		for j, r := range rs {
 			if r == nil {
 				continue

@@ -47,13 +47,13 @@ func TestRunGangRecyclesCaches(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	traces := replay.NewCache()
 	ctx := context.Background()
-	first, _, err := replay.RunGang(ctx, traces, b, group, 0, nil)
+	first, _, err := replay.RunGang(ctx, traces, b, group, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	second, _, err := replay.RunGang(ctx, traces, b, group, 0, nil)
+	second, _, err := replay.RunGang(ctx, traces, b, group, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
-// Gang-replay equivalence suite (DESIGN.md §7.9): walking one trace for
-// a batch of configurations is a pure performance mode, so every
+// Group-replay equivalence suite (DESIGN.md §7.9): replaying a batch of
+// configurations as one group is a pure performance mode, so every
 // member's result must be byte-identical to its own serial replay — at
-// any gang width, under any batch composition, in any member order.
+// any batch size, under any batch composition, in any member order, and
+// under an Abort probe.
 package replay_test
 
 import (
@@ -28,8 +29,8 @@ func gangConfigs(width int) []sim.Config {
 }
 
 // TestGangReplayMatchesSerial replays the same members serially and
-// ganged at widths 1, 2 and 8 and demands bit-identical results per
-// member. Because every gang width is compared against the same serial
+// in batches of 1, 2 and 8 and demands bit-identical results per
+// member. Because every batch size is compared against the same serial
 // reference, this also pins composition independence: a member's result
 // cannot depend on who else is in its batch.
 func TestGangReplayMatchesSerial(t *testing.T) {
@@ -48,22 +49,22 @@ func TestGangReplayMatchesSerial(t *testing.T) {
 		}
 		serial[i] = res
 	}
-	for _, width := range []int{1, 2, 8} {
-		for lo := 0; lo < len(cfgs); lo += width {
-			hi := min(lo+width, len(cfgs))
-			batch, _, err := replay.RunGang(ctx, traces, b, cfgs[lo:hi], 0, nil)
+	for _, size := range []int{1, 2, 8} {
+		for lo := 0; lo < len(cfgs); lo += size {
+			hi := min(lo+size, len(cfgs))
+			batch, _, err := replay.RunGang(ctx, traces, b, cfgs[lo:hi], nil)
 			if err != nil {
-				t.Fatalf("gang width %d [%d:%d]: %v", width, lo, hi, err)
+				t.Fatalf("batch size %d [%d:%d]: %v", size, lo, hi, err)
 			}
 			for i, res := range batch {
-				mustEqualResults(t, b.Name+" gang width "+cfgs[lo+i].Name, serial[lo+i], res)
+				mustEqualResults(t, b.Name+" batch size "+cfgs[lo+i].Name, serial[lo+i], res)
 			}
 		}
 	}
 }
 
 // TestGangReplayOrderIndependent permutes the batch and checks the
-// results follow the permutation exactly: member order inside a gang is
+// results follow the permutation exactly: member order inside a group is
 // timing-irrelevant.
 func TestGangReplayOrderIndependent(t *testing.T) {
 	b, ok := polybench.ByName("atax")
@@ -78,11 +79,11 @@ func TestGangReplayOrderIndependent(t *testing.T) {
 	for i, p := range perm {
 		permuted[i] = cfgs[p]
 	}
-	straight, _, err := replay.RunGang(ctx, traces, b, cfgs, 0, nil)
+	straight, _, err := replay.RunGang(ctx, traces, b, cfgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shuffled, _, err := replay.RunGang(ctx, traces, b, permuted, 0, nil)
+	shuffled, _, err := replay.RunGang(ctx, traces, b, permuted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,7 +185,7 @@ var zeroStack [cpu.StackBytes]byte
 // configuration. The result is byte-identical to sim.Run for the same
 // inputs.
 func Run(ctx context.Context, c *Cache, b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
-	rs, _, err := RunGang(ctx, c, b, []sim.Config{cfg}, 0, nil)
+	rs, _, err := RunGang(ctx, c, b, []sim.Config{cfg}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -219,17 +219,16 @@ func cancelCtl(ctx context.Context, ctl *sim.ReplayCtl) *sim.ReplayCtl {
 }
 
 // RunGang executes bench b under a batch of configurations by timing
-// replay (sim.ReplayGroup: shared warm-ups, each pass in trace walks of
-// at most width members; width <= 0 means one walk per pass): the
-// memoized compile + capture once, one fresh system per configuration,
-// then the group replay under ctl; the systems are released once the
-// results are assembled. Results are in cfgs order and each is
-// byte-identical to Run of the same (b, cfg). All configurations must
+// replay (sim.ReplayGroup: shared warm-ups, then one trace walk per
+// member and pass): the memoized compile + capture once, one fresh
+// system per configuration, then the group replay under ctl; the
+// systems are released once the results are assembled. Results are in
+// cfgs order and each is byte-identical to Run of the same (b, cfg). All configurations must
 // share CompileOptions — they would not share a trace otherwise — and a
 // mismatch is an error, not a silent split.
 //
 // ctl may truncate the replay or abort it early (DESIGN.md §7.5); the
-// returned bool reports whether the measured pass was aborted, and
+// returned bool reports whether a measured pass was aborted, and
 // results under a truncating or aborting ctl describe a prefix of the
 // run, so they must never be cached as if they were complete. A
 // cancellable ctx is probed inside every walk, warm-ups included, so a
@@ -237,7 +236,7 @@ func cancelCtl(ctx context.Context, ctl *sim.ReplayCtl) *sim.ReplayCtl {
 // instead of after the full simulation; the probe never fires on a live
 // context, so results are unchanged. A member that fails gets a nil
 // result while the others complete, as in sim.ReplayGroup.
-func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config, width int, ctl *sim.ReplayCtl) ([]*sim.RunResult, bool, error) {
+func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config, ctl *sim.ReplayCtl) ([]*sim.RunResult, bool, error) {
 	if len(cfgs) == 0 {
 		return nil, false, nil
 	}
@@ -264,5 +263,5 @@ func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config
 		}
 		systems = append(systems, sys)
 	}
-	return sim.ReplayGroup(systems, width, ck, tr, cancelCtl(ctx, ctl))
+	return sim.ReplayGroup(systems, ck, tr, cancelCtl(ctx, ctl))
 }

@@ -169,8 +169,16 @@ func sameResult(a, b *sim.RunResult) bool {
 }
 
 // groupReplay assembles one system per configuration and replays them
-// as a warm group at the given gang width.
-func groupReplay(t *testing.T, traces *replay.Cache, b polybench.Bench, cfgs []sim.Config, width int) ([]*sim.RunResult, []*sim.System) {
+// as a warm group.
+func groupReplay(t *testing.T, traces *replay.Cache, b polybench.Bench, cfgs []sim.Config) ([]*sim.RunResult, []*sim.System) {
+	t.Helper()
+	rs, systems, _ := groupReplayCtl(t, traces, b, cfgs, nil)
+	return rs, systems
+}
+
+// groupReplayCtl is groupReplay under ctl; it also returns whether an
+// Abort probe stopped a measured pass.
+func groupReplayCtl(t *testing.T, traces *replay.Cache, b polybench.Bench, cfgs []sim.Config, ctl *sim.ReplayCtl) ([]*sim.RunResult, []*sim.System, bool) {
 	t.Helper()
 	ck, tr, err := traces.Trace(context.Background(), b, sim.CompileOptions(cfgs[0]))
 	if err != nil {
@@ -182,11 +190,11 @@ func groupReplay(t *testing.T, traces *replay.Cache, b polybench.Bench, cfgs []s
 			t.Fatal(err)
 		}
 	}
-	rs, _, err := sim.ReplayGroup(systems, width, ck, tr, nil)
+	rs, aborted, err := sim.ReplayGroup(systems, ck, tr, ctl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rs, systems
+	return rs, systems, aborted
 }
 
 // TestPositiveWitnessFallsBack: VWB points with compiled two-stream
@@ -203,7 +211,7 @@ func TestPositiveWitnessFallsBack(t *testing.T) {
 		cfg.DL1ReadLat = rl
 		cfgs = append(cfgs, cfg)
 	}
-	rs, systems := groupReplay(t, traces, b, cfgs, 0)
+	rs, systems := groupReplay(t, traces, b, cfgs)
 	if systems[0].Witness() == 0 {
 		t.Fatal("representative read no clock: the fallback path is not exercised")
 	}
@@ -223,8 +231,8 @@ func TestPositiveWitnessFallsBack(t *testing.T) {
 
 // TestSharedWarmUpMatchesSerial: a cold-slice-shaped warm group (one
 // front end and buffer size, four bank counts × two read latencies)
-// runs one warm-up, its members copy it, the measured passes run in
-// walks of three, and every result equals the member's serial replay.
+// runs one warm-up, its members copy it, and every result equals the
+// member's serial replay.
 func TestSharedWarmUpMatchesSerial(t *testing.T) {
 	traces := replay.NewCache()
 	for _, b := range warmBenches(t) {
@@ -236,7 +244,7 @@ func TestSharedWarmUpMatchesSerial(t *testing.T) {
 				cfgs = append(cfgs, cfg)
 			}
 		}
-		rs, systems := groupReplay(t, traces, b, cfgs, 3)
+		rs, systems := groupReplay(t, traces, b, cfgs)
 		for i, sys := range systems {
 			want := 0
 			if i == 0 {
@@ -268,7 +276,7 @@ func TestCheckedGroupVerifiesInsteadOfSharing(t *testing.T) {
 		cfg.DL1ReadLat, cfg.Check = rl, true
 		cfgs = append(cfgs, cfg)
 	}
-	rs, systems := groupReplay(t, traces, b, cfgs, 0)
+	rs, systems := groupReplay(t, traces, b, cfgs)
 	for i, sys := range systems {
 		if sys.WarmUps() != 1 {
 			t.Errorf("checked member %d ran %d warm-ups, want its own", i, sys.WarmUps())
@@ -282,6 +290,42 @@ func TestCheckedGroupVerifiesInsteadOfSharing(t *testing.T) {
 		rs[i].Config.Check = false
 		if !sameResult(serial, rs[i]) {
 			t.Errorf("checked member %d differs from unchecked serial replay", i)
+		}
+	}
+}
+
+// TestGroupAbortPerMember replays a fast and a slow member as one group
+// under an Abort probe whose cycle bound lies between their run times:
+// the slow member must stop where it stops alone and the fast one must
+// run to its end, so each member's result and aborted flag equal those
+// of its own group of one under the same ctl.
+func TestGroupAbortPerMember(t *testing.T) {
+	b, ok := polybench.ByName("atax")
+	if !ok {
+		t.Fatal("unknown benchmark atax")
+	}
+	traces := replay.NewCache()
+	cfgs := []sim.Config{sim.BaselineSRAM(), sim.DropInSTT()}
+	full, _ := groupReplay(t, traces, b, cfgs)
+	if full[0].CPU.Cycles >= full[1].CPU.Cycles {
+		t.Fatalf("%s cycles %d not below %s cycles %d", cfgs[0].Name, full[0].CPU.Cycles, cfgs[1].Name, full[1].CPU.Cycles)
+	}
+	limit := full[0].CPU.Cycles
+	ctl := &sim.ReplayCtl{CheckEvery: 1 << 12, Abort: func(c int64) bool { return c > limit }}
+	rs, _, aborted := groupReplayCtl(t, traces, b, cfgs, ctl)
+	if !aborted {
+		t.Error("group not aborted")
+	}
+	for i, cfg := range cfgs {
+		one, _, oneAborted := groupReplayCtl(t, traces, b, cfgs[i:i+1], ctl)
+		if oneAborted != (i == 1) {
+			t.Errorf("%s alone: aborted %t, want %t", cfg.Name, oneAborted, i == 1)
+		}
+		if memberAborted := rs[i].CPU.Insts < full[i].CPU.Insts; memberAborted != oneAborted {
+			t.Errorf("%s in the group: aborted %t, alone %t", cfg.Name, memberAborted, oneAborted)
+		}
+		if !sameResult(one[0], rs[i]) {
+			t.Errorf("%s: group result under Abort differs from its group of one", cfg.Name)
 		}
 	}
 }

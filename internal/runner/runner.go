@@ -113,7 +113,7 @@ func (p *Pool[K, V]) Peek(key K) (v V, done, inflight bool) {
 }
 
 // Publish memoizes a result computed outside the pool's task machinery
-// (e.g. one member of a gang replay whose batch ran under a single
+// (e.g. one member of a warm group whose batch ran under a single
 // task's worker slot). It counts as one executed task — done advances
 // and a progress event fires, so engine accounting sees exactly one
 // completion per unique simulation regardless of batching. If the key

@@ -496,7 +496,7 @@ type ReplayCtl = cpu.ReplayCtl
 // as a group of one (ReplayGroup). The returned bool reports whether the
 // measured pass was aborted by ctl.Abort.
 func (s *System) ReplayCompiledCtl(ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayCtl) (*RunResult, bool, error) {
-	rs, aborted, err := ReplayGroup([]*System{s}, 0, ck, tr, ctl)
+	rs, aborted, err := ReplayGroup([]*System{s}, ck, tr, ctl)
 	if err != nil {
 		return nil, false, err
 	}
@@ -508,17 +508,17 @@ func (s *System) ReplayCompiledCtl(ck *compile.Compiled, tr *cpu.Trace, ctl *Rep
 // whether those contents are shared by every configuration with the
 // same WarmKey (DESIGN.md §7.9).
 func (s *System) WarmUp(ck *compile.Compiled, tr *cpu.Trace) error {
-	g := &groupReplay{ck: ck, tr: tr, width: 1, errs: make(map[*System]error)}
+	g := &groupReplay{ck: ck, tr: tr, errs: make(map[*System]error)}
 	if err := g.warmPass([]*System{s}, nil); err != nil {
 		return err
 	}
 	return g.errs[s]
 }
 
-// ReplayGang is ReplayGroup with every pass one trace walk over the
-// whole batch, under Interrupt control alone.
+// ReplayGang is ReplayGroup under Interrupt control alone: its systems
+// replay one after another.
 func ReplayGang(systems []*System, ck *compile.Compiled, tr *cpu.Trace, interrupt func() error, intrEvery int) ([]*RunResult, error) {
-	rs, _, err := ReplayGroup(systems, 0, ck, tr, &ReplayCtl{Interrupt: interrupt, InterruptEvery: intrEvery})
+	rs, _, err := ReplayGroup(systems, ck, tr, &ReplayCtl{Interrupt: interrupt, InterruptEvery: intrEvery})
 	return rs, err
 }
 
@@ -536,32 +536,29 @@ func ReplayGang(systems []*System, ck *compile.Compiled, tr *cpu.Trace, interrup
 //     Witness 0 must end in the representative's state, field by
 //     field, or it fails with ErrWarmState naming the field.
 //   - Each pass — warm-ups and the measured pass — walks the trace
-//     once per at most width members (cpu.ReplayTraceGang; width <= 0:
-//     one walk).
+//     once per member, one member after another (cpu.ReplayTraceCtl).
 //   - The warm-ups run under ctl without its Abort probe: their cycle
 //     counts are discarded, so aborting one would save nothing and
 //     desynchronize cache contents between abort-on and abort-off
 //     runs. MaxRecords truncates them too, and Interrupt reaches them,
 //     or half of every replay would be uncancellable. The measured
-//     pass gets all of ctl; the returned bool reports whether an Abort
-//     probe stopped it.
+//     pass gets all of ctl; each member probes Abort with its own cycle
+//     bound, and the returned bool reports whether a probe stopped any
+//     member's measured pass.
 //
-// Without Abort, every member's RunResult is byte-identical to its own
-// group of one — all systems must therefore be freshly assembled, for
-// configurations sharing CompileOptions. A member that fails (a
+// Every member's RunResult is byte-identical to its own group of one
+// under the same ctl — all systems must therefore be freshly assembled,
+// for configurations sharing CompileOptions. A member that fails (a
 // functional fault such as its instruction budget, an oracle
 // violation, ErrWarmState) gets a nil result and an error worded
 // "sim: <bench> on <config>: ..."; the others still complete, and the
 // first failed member's error in member order is returned next to
 // their results. An Interrupt error abandons the group with no results.
-func ReplayGroup(systems []*System, width int, ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayCtl) ([]*RunResult, bool, error) {
+func ReplayGroup(systems []*System, ck *compile.Compiled, tr *cpu.Trace, ctl *ReplayCtl) ([]*RunResult, bool, error) {
 	if len(systems) == 0 {
 		return nil, false, nil
 	}
-	if width <= 0 {
-		width = len(systems)
-	}
-	g := &groupReplay{ck: ck, tr: tr, width: width, errs: make(map[*System]error)}
+	g := &groupReplay{ck: ck, tr: tr, errs: make(map[*System]error)}
 	warmCtl := ctl
 	if ctl != nil && ctl.Abort != nil {
 		wc := *ctl
@@ -596,13 +593,11 @@ func ReplayGroup(systems []*System, width int, ck *compile.Compiled, tr *cpu.Tra
 var ErrWarmState = errors.New("warm-up state differs from the warm group's representative")
 
 // groupReplay is one ReplayGroup in progress: the kernel and trace its
-// members replay, the walk width, and the error of every member that
-// has failed.
+// members replay, and the error of every member that has failed.
 type groupReplay struct {
-	ck    *compile.Compiled
-	tr    *cpu.Trace
-	width int
-	errs  map[*System]error
+	ck   *compile.Compiled
+	tr   *cpu.Trace
+	errs map[*System]error
 }
 
 // fail records a member's failure in the wording of every member error.
@@ -678,41 +673,30 @@ func (g *groupReplay) warmPass(systems []*System, ctl *ReplayCtl) error {
 	return nil
 }
 
-// pass replays one pass of every member that has not failed, in trace
-// walks of at most width members, and audits each under the oracle. It
-// returns the results in member order, nil for a failed member, and
-// whether an Abort probe stopped a walk.
+// pass replays one pass of every member that has not failed, one member
+// after another, and audits each under the oracle. It returns the
+// results in member order, nil for a failed member, and whether an
+// Abort probe stopped any member.
 func (g *groupReplay) pass(systems []*System, ctl *ReplayCtl) ([]*cpu.Result, bool, error) {
-	var live []int
-	for i, s := range systems {
-		if g.errs[s] == nil {
-			live = append(live, i)
-		}
-	}
 	out := make([]*cpu.Result, len(systems))
 	aborted := false
-	for lo := 0; lo < len(live); lo += g.width {
-		walk := live[lo:min(lo+g.width, len(live))]
-		cpus := make([]*cpu.CPU, len(walk))
-		for j, i := range walk {
-			cpus[j] = systems[i].CPU
+	for i, s := range systems {
+		if g.errs[s] != nil {
+			continue
 		}
-		rs, faults, ab, err := cpu.ReplayTraceGang(g.tr, cpus, ctl)
-		if err != nil {
-			return nil, false, fmt.Errorf("sim: %s on %s: %w", g.ck.Prog.Name, systems[walk[0]].Cfg.Name, err)
+		res, ab, err := s.CPU.ReplayTraceCtl(g.tr, ctl)
+		if res == nil { // an Interrupt error abandons the group
+			return nil, false, fmt.Errorf("sim: %s on %s: %w", g.ck.Prog.Name, s.Cfg.Name, err)
 		}
 		aborted = aborted || ab
-		for j, i := range walk {
-			err := faults[j]
-			if err == nil {
-				err = systems[i].CheckErr()
-			}
-			if err != nil {
-				g.fail(systems[i], err)
-				continue
-			}
-			out[i] = rs[j]
+		if err == nil {
+			err = s.CheckErr()
 		}
+		if err != nil {
+			g.fail(s, err)
+			continue
+		}
+		out[i] = res
 	}
 	return out, aborted, nil
 }
@@ -821,13 +805,4 @@ func Run(k *ir.Kernel, cfg Config) (*RunResult, error) {
 		return nil, err
 	}
 	return sys.RunCompiled(ck)
-}
-
-// MustRun is Run for known-good configurations.
-func MustRun(k *ir.Kernel, cfg Config) *RunResult {
-	r, err := Run(k, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }

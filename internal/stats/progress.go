@@ -132,36 +132,6 @@ func (c *Counters) Cached() int {
 	return c.cached
 }
 
-// Snapshot is a point-in-time, wire-serializable aggregate of a
-// Counters — the progress payload sweep-service workers put in their
-// lease heartbeats and the server folds into a job's event stream
-// (internal/serve).
-type Snapshot struct {
-	// Runs counts the tasks observed so far.
-	Runs int `json:"runs"`
-	// Cached counts the observed tasks served from the persistent store.
-	Cached int `json:"cached,omitempty"`
-	// BusyNS is the summed wall time of the observed tasks, in
-	// nanoseconds — the serial-equivalent cost so far.
-	BusyNS int64 `json:"busy_ns"`
-	// MaxInFlight and MaxQueued are the peak engine queue depths.
-	MaxInFlight int `json:"max_in_flight"`
-	MaxQueued   int `json:"max_queued"`
-}
-
-// Snapshot captures the counters' current values.
-func (c *Counters) Snapshot() Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Snapshot{
-		Runs:        c.runs,
-		Cached:      c.cached,
-		BusyNS:      int64(c.wall),
-		MaxInFlight: c.maxInFlight,
-		MaxQueued:   c.maxQueued,
-	}
-}
-
 // Summary renders the counters as one line, e.g.
 // "96 sims, 12.1s simulated work (peak 8 running / 41 queued)"; when
 // any task was served from the persistent store the cached share is

@@ -71,8 +71,7 @@ wait "$serve_pid"
 gobench=$(go test -run '^$' -bench '^BenchmarkStoreSweep$' -benchtime "$benchtime" -benchmem .)
 printf '%s\n' "$gobench"
 
-# Replay engine (DESIGN.md §7.9): the cold smoke sweep, gang replay at
-# the automatic width.
+# Replay engine (DESIGN.md §7.9): the cold smoke sweep, in warm groups.
 replaybench=$(go test -run '^$' -bench '^BenchmarkReplaySweep$' -benchtime "$benchtime" -benchmem .)
 printf '%s\n' "$replaybench"
 

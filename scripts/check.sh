@@ -42,6 +42,9 @@ go test -race ./...
 # detector, whose pool drops items at random, so every path is taken.
 go test -race -count=10 -run '^TestConcurrentRelease$' ./internal/cache
 go run ./cmd/sttexplore run -check -bench atax,gemver fig3 >/dev/null
+# The IL1 EMSHR's busy clock must never move backward when a fetch miss
+# overlaps an earlier refill (bicg and gemm overlapped before the fix).
+go run ./cmd/sttexplore run -check -bench bicg,gemm ablation-icache >/dev/null
 go run ./cmd/sttexplore dse -check -space smoke -bench atax,gemver >/dev/null
 
 tmp_on=$(mktemp)
@@ -95,9 +98,10 @@ test "$(sed -n 's|^store: .* / \([0-9]*\) evaluated, .*, \([0-9]*\) warm-up(s)$|
 go run ./cmd/sttexplore dse -space smoke -bench atax,gemver -store "$shard_dir" -csv >"$tmp_off"
 cmp "$tmp_on" "$tmp_off"
 
-# Gang replay (DESIGN.md §7.9) under the race detector: gang replay
-# shares one trace walk across configurations; the detector proves the
-# members' states stay disjoint while cmp proves the cycles do.
+# Group replay (DESIGN.md §7.9) under the race detector: a warm group's
+# members share one trace and one warm-up, and a sweep replays groups
+# concurrently; the detector proves the members' states stay disjoint
+# while cmp proves the cycles do.
 go run -race ./cmd/sttexplore dse -space smoke -bench atax,gemver -csv >"$tmp_off"
 cmp "$tmp_on" "$tmp_off"
 
