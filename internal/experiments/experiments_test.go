@@ -483,8 +483,9 @@ func TestGroupBudgetFaultMatchesRun(t *testing.T) {
 		t.Fatal("the two configurations do not form one warm group")
 	}
 	first := cfgs[0] // the member with the smaller run key leads the group
-	k0, _ := runKey(b, cfgs[0])
-	if k1, _ := runKey(b, cfgs[1]); k1 < k0 {
+	keySuite := NewSuiteJobs(benches, 1)
+	k0, _ := keySuite.runKey(b, cfgs[0])
+	if k1, _ := keySuite.runKey(b, cfgs[1]); k1 < k0 {
 		first = cfgs[1]
 	}
 	_, runErr := NewSuiteJobs(benches, 1).Run(b, first)

@@ -9,7 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
+	"sync"
 
 	"sttdl1/internal/compile"
 	"sttdl1/internal/energy"
@@ -50,6 +50,49 @@ type Suite struct {
 	// capture and the entire timing model; results are byte-identical
 	// either way, so the memo key does not include it.
 	store *store.Store
+	// keys renders each configuration's canonical and model keys once;
+	// shared by WithContext copies.
+	keys *keyMemo
+}
+
+// configKeys is one configuration's rendered keys.
+type configKeys struct {
+	canon string // sim.CanonicalKey(cfg)
+	// model is energy.ModelKey(cfg); modelOK is false when cfg has no
+	// valid energy model, and such runs skip the store tier.
+	model   string
+	modelOK bool
+}
+
+// keyMemo memoizes configKeys by configuration. A warm sweep asks for
+// the keys of a few configurations hundreds of times (Prefetch, then
+// every Run of the scoring loop), and rendering them is most of a warm
+// memo hit's cost. It is the suite's only caller of sim.CanonicalKey and
+// energy.ModelKey. A plain map under a mutex, not a sync.Map: the typed
+// map hashes the Config struct directly, where sync.Map's interface
+// keys go through the runtime's generic type hash.
+type keyMemo struct {
+	mu sync.Mutex
+	m  map[sim.Config]configKeys
+}
+
+// get returns cfg's keys, rendering them on first use. Two callers
+// racing on a new configuration may both render it; they store equal
+// values.
+func (km *keyMemo) get(cfg sim.Config) configKeys {
+	km.mu.Lock()
+	k, ok := km.m[cfg]
+	km.mu.Unlock()
+	if ok {
+		return k
+	}
+	k.canon = sim.CanonicalKey(cfg)
+	model, err := energy.ModelKey(cfg)
+	k.model, k.modelOK = model, err == nil
+	km.mu.Lock()
+	km.m[cfg] = k
+	km.mu.Unlock()
+	return k
 }
 
 // NewSuite builds a suite over the given benchmarks (nil = all) with the
@@ -69,6 +112,7 @@ func NewSuiteJobs(benches []polybench.Bench, jobs int) *Suite {
 		pool:    runner.New[string, *sim.RunResult](jobs),
 		ctx:     context.Background(),
 		traces:  replay.NewCache(),
+		keys:    &keyMemo{m: make(map[sim.Config]configKeys)},
 	}
 }
 
@@ -114,23 +158,19 @@ func (s *Suite) WarmUps() int { return s.traces.WarmUps() }
 
 // storeKey derives the content address of (b, cfg) under the persistent
 // store: the kernel variant's functional digest (memoized compile,
-// shared with replay — never a capture), the canonical configuration
-// key canon (sim.CanonicalKey of cfg), and the energy model parameters.
-// ok is false when the store is off or the configuration has no valid
-// model or does not compile — those runs simply skip the store tier.
-func (s *Suite) storeKey(ctx context.Context, b polybench.Bench, cfg sim.Config, canon string) (store.Key, bool) {
-	if s.store == nil {
-		return store.Key{}, false
-	}
-	modelKey, err := energy.ModelKey(cfg)
-	if err != nil {
+// shared with replay — never a capture), and cfg's memoized keys k: the
+// canonical configuration key and the energy model parameters. ok is
+// false when the store is off or the configuration has no valid model
+// or does not compile — those runs simply skip the store tier.
+func (s *Suite) storeKey(ctx context.Context, b polybench.Bench, cfg sim.Config, k configKeys) (store.Key, bool) {
+	if s.store == nil || !k.modelOK {
 		return store.Key{}, false
 	}
 	digest, err := s.traces.Digest(ctx, b, sim.CompileOptions(cfg))
 	if err != nil {
 		return store.Key{}, false
 	}
-	return store.KeyFor(benchKey(b), digest, canon, modelKey), true
+	return store.KeyFor(benchKey(b), digest, k.canon, k.model), true
 }
 
 // Stored reports whether a valid persistent-store entry exists for
@@ -140,7 +180,7 @@ func (s *Suite) storeKey(ctx context.Context, b polybench.Bench, cfg sim.Config,
 // memoized store-hitting path instead of abortable replay.
 func (s *Suite) Stored(b polybench.Bench, cfg sim.Config) bool {
 	cfg = s.applyCheck(cfg)
-	key, ok := s.storeKey(s.ctx, b, cfg, sim.CanonicalKey(cfg))
+	key, ok := s.storeKey(s.ctx, b, cfg, s.keys.get(cfg))
 	return ok && s.store.Contains(key)
 }
 
@@ -170,20 +210,13 @@ func (s *Suite) WithContext(ctx context.Context) *Suite {
 // sizes of one bench would otherwise serve the wrong result.
 func benchKey(b polybench.Bench) string { return b.Name + "@" + strconv.Itoa(b.Default) }
 
-// runKey returns the memo key of bench b under cfg and its suffix
-// canon, sim.CanonicalKey(cfg). Configurations that simulate the same
-// design share the key; every field the simulator reads, and the Check
-// flag, tell two keys apart. Both strings share one allocation: the
-// memo hit path builds a key on every lookup.
-func runKey(b polybench.Bench, cfg sim.Config) (key, canon string) {
-	var sb strings.Builder
-	sb.Grow(320)
-	sb.WriteString(benchKey(b))
-	sb.WriteByte('|')
-	n := sb.Len()
-	sim.WriteCanonicalKey(&sb, cfg)
-	key = sb.String()
-	return key, key[n:]
+// runKey returns the memo key of bench b under cfg, and cfg's memoized
+// keys. Configurations that simulate the same design share the key;
+// every field the simulator reads, and the Check flag, tell two keys
+// apart.
+func (s *Suite) runKey(b polybench.Bench, cfg sim.Config) (string, configKeys) {
+	k := s.keys.get(cfg)
+	return benchKey(b) + "|" + k.canon, k
 }
 
 func runLabel(b polybench.Bench, cfg sim.Config) string {
@@ -200,8 +233,11 @@ func (s *Suite) Run(b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
 // not started yet).
 func (s *Suite) RunContext(ctx context.Context, b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
 	cfg = s.applyCheck(cfg)
-	key, canon := runKey(b, cfg)
-	m := gangMember{key: key, label: runLabel(b, cfg), canon: canon, cfg: cfg}
+	key, k := s.runKey(b, cfg)
+	if r, done, _ := s.pool.Peek(key); done {
+		return r, nil
+	}
+	m := gangMember{key: key, label: runLabel(b, cfg), keys: k, cfg: cfg}
 	r, err := s.pool.DoLabeled(ctx, key, m.label,
 		func(ctx context.Context) (*sim.RunResult, error) {
 			r, _, err := s.execute(ctx, b, []gangMember{m}, nil)
@@ -261,7 +297,7 @@ func (s *Suite) Prefetch(benches []polybench.Bench, cfgs ...sim.Config) error {
 // identity.
 type gangMember struct {
 	key, label string
-	canon      string // sim.CanonicalKey(cfg)
+	keys       configKeys
 	cfg        sim.Config
 }
 
@@ -279,6 +315,12 @@ type gangMember struct {
 // completion per unique simulation. Tasks are submitted in sorted key
 // order so the engine's schedule — and therefore its progress stream —
 // is reproducible run to run.
+//
+// With a store installed, the functional digest of every kernel variant
+// the tasks need starts resolving concurrently before the tasks run
+// (resolveDigests): sorted key order is kernel-major, and otherwise
+// every worker slot would start on one kernel's groups and wait on the
+// compile one of them leads.
 func (s *Suite) PrefetchSpecs(specs []Spec) error {
 	seen := make(map[string]bool, len(specs))
 	type groupKey struct {
@@ -293,7 +335,7 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 	var order []groupKey
 	for _, sp := range specs {
 		cfg := s.applyCheck(sp.Config)
-		key, canon := runKey(sp.Bench, cfg)
+		key, k := s.runKey(sp.Bench, cfg)
 		if seen[key] {
 			continue
 		}
@@ -310,7 +352,7 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 			groups[gk] = g
 			order = append(order, gk)
 		}
-		g.members = append(g.members, gangMember{key: key, label: runLabel(sp.Bench, cfg), canon: canon, cfg: cfg})
+		g.members = append(g.members, gangMember{key: key, label: runLabel(sp.Bench, cfg), keys: k, cfg: cfg})
 	}
 
 	tasks := make([]runner.Task[string, *sim.RunResult], 0, len(order))
@@ -330,10 +372,47 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 		})
 	}
 	sort.Slice(tasks, func(i, j int) bool { return tasks[i].Key < tasks[j].Key })
+	if s.store != nil {
+		variants := make([]Spec, 0, len(order))
+		for _, gk := range order {
+			variants = append(variants, Spec{Bench: groups[gk].bench, Config: gk.warm})
+		}
+		defer s.resolveDigests(variants)()
+	}
 	if _, err := s.pool.Run(s.ctx, tasks); err != nil {
 		return fmt.Errorf("experiments: prefetch: %w", err)
 	}
 	return nil
+}
+
+// resolveDigests starts the functional digest (the memoized compile) of
+// each distinct kernel variant of specs, one goroutine each, and returns
+// a function that waits for all of them. The compiles run over the trace
+// cache's own pool, so they keep every CPU busy while the suite's worker
+// slots wait on the variants they need; a task that asks for a digest
+// still in flight joins its compile. Errors are dropped here: a failed
+// compile is not memoized, and the task that needs it fails on its own.
+func (s *Suite) resolveDigests(specs []Spec) (wait func()) {
+	type variantKey struct {
+		bench string
+		opts  compile.Options
+	}
+	seen := make(map[variantKey]bool, len(specs))
+	var wg sync.WaitGroup
+	for _, sp := range specs {
+		opts := sim.CompileOptions(sp.Config)
+		vk := variantKey{benchKey(sp.Bench), opts}
+		if seen[vk] {
+			continue
+		}
+		seen[vk] = true
+		wg.Add(1)
+		go func(b polybench.Bench) {
+			defer wg.Done()
+			_, _ = s.traces.Digest(s.ctx, b, opts)
+		}(sp.Bench)
+	}
+	return wg.Wait
 }
 
 // execute runs members, one warm group of b, under the caller's worker
@@ -355,7 +434,7 @@ func (s *Suite) execute(ctx context.Context, b polybench.Bench, members []gangMe
 	var cfgs []sim.Config
 	for i, m := range members {
 		if ctl == nil {
-			if key, ok := s.storeKey(ctx, b, m.cfg, m.canon); ok {
+			if key, ok := s.storeKey(ctx, b, m.cfg, m.keys); ok {
 				if rec, hit := s.store.Get(key); hit {
 					// A record stores no config (store.Record). A fresh run
 					// reports the defaults-resolved requested config

@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -27,6 +28,8 @@ import (
 
 	"sttdl1/internal/compile"
 	"sttdl1/internal/dse"
+	"sttdl1/internal/ir"
+	"sttdl1/internal/isa"
 	"sttdl1/internal/polybench"
 	"sttdl1/internal/sim"
 )
@@ -185,5 +188,62 @@ func TestFunctionalDigests(t *testing.T) {
 	}
 	for v := range want {
 		t.Errorf("%s: golden line for a variant no longer reachable; regenerate with -update", v)
+	}
+}
+
+// TestFunctionalDigestLayout pins the digest's preimage layout
+// independently of functionalDigest: it assembles the version 2
+// preimage byte by byte from the compiled program, its encoding and its
+// initial data segment, and checks Cache.Digest against its SHA-256.
+// Every field but the last is a little-endian uint64 length followed by
+// the bytes: the version tag, the program name, the encoded program,
+// the decimal data-segment size and the initial data segment. The last
+// is the stack's length alone, since the stack is always zeros.
+func TestFunctionalDigestLayout(t *testing.T) {
+	for _, tc := range []struct {
+		bench string
+		opts  compile.Options
+	}{
+		{"atax", compile.Options{LineSize: 64}},
+		{"gemm", compile.AllOptimizations()},
+		{"jacobi2d", compile.Options{Prefetch: true, PrefetchStreams: 2, LineSize: 64}},
+	} {
+		b, ok := polybench.ByName(tc.bench)
+		if !ok {
+			t.Fatalf("no benchmark %s", tc.bench)
+		}
+		ck, err := compile.Compile(b.Kernel(), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, err := isa.EncodeProgram(ck.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := make([]byte, ck.Prog.DataSize)
+		if err := ir.InitData(ck.Kernel, data); err != nil {
+			t.Fatal(err)
+		}
+		var pre []byte
+		for _, f := range [][]byte{
+			[]byte("sttfunc/v2"),
+			[]byte(ck.Prog.Name),
+			code,
+			[]byte(fmt.Sprint(ck.Prog.DataSize)),
+			data,
+		} {
+			pre = binary.LittleEndian.AppendUint64(pre, uint64(len(f)))
+			pre = append(pre, f...)
+		}
+		pre = binary.LittleEndian.AppendUint64(pre, 64<<10)
+		want := sha256.Sum256(pre)
+
+		got, err := NewCache().Digest(context.Background(), b, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: Cache.Digest = %x, hand-built v2 preimage hashes to %x", tc.bench, got, want)
+		}
 	}
 }

@@ -30,10 +30,11 @@ import (
 // the encoded program and its initial memory image — so it
 // cannot see a change to the machinery that turns those inputs into a
 // trace. Bump it whenever the functional interpreter, trace capture or
-// a compile.Compiled field that reaches a RunResult changes meaning;
-// TestFunctionalDigests fails with "bump FunctionalVersion" when a trace
-// moves under an unchanged digest.
-const FunctionalVersion = 1
+// a compile.Compiled field that reaches a RunResult changes meaning, and
+// whenever the digest's own layout changes (version 2 hashes the stack's
+// length instead of its zero bytes); TestFunctionalDigests fails with
+// "bump FunctionalVersion" when a trace moves under an unchanged digest.
+const FunctionalVersion = 2
 
 // variant is one compiled kernel variant and its functional digest.
 type variant struct {
@@ -52,6 +53,7 @@ type Cache struct {
 	compiles *runner.Pool[string, variant]
 	traces   *runner.Pool[string, *cpu.Trace]
 	captures atomic.Int64
+	compiled atomic.Int64
 	// warmUps counts the warm-up passes of the replays run through the
 	// cache (a member that copied its warm group's state ran none).
 	warmUps atomic.Int64
@@ -98,13 +100,14 @@ func (c *Cache) Trace(ctx context.Context, b polybench.Bench, opts compile.Optio
 
 // Digest returns the functional digest of b under opts: SHA-256 over
 // length-delimited fields for FunctionalVersion, the program name, the
-// encoded program, its data-segment size and the initial memory image
-// (sim.InitialState's, hashed without building a State) — every input
-// the captured trace is a function of. It compiles (memoized,
-// shared with Trace) on first use but never captures, which is what
-// lets a stored evaluation be found without executing the kernel. The
-// persistent store keys on it (internal/store); TestFunctionalDigests
-// pins it against the trace bytes it stands in for.
+// encoded program, its data-segment size, the initial data segment and
+// the stack's length (sim.InitialState's image, hashed without building
+// a State) — every input the captured trace is a function of. It
+// compiles (memoized, shared with Trace) on first use but never
+// captures, which is what lets a stored evaluation be found without
+// executing the kernel. The persistent store keys on it
+// (internal/store); TestFunctionalDigests pins it against the trace
+// bytes it stands in for.
 func (c *Cache) Digest(ctx context.Context, b polybench.Bench, opts compile.Options) ([sha256.Size]byte, error) {
 	v, err := c.variant(ctx, key(b, opts), b, opts)
 	if err != nil {
@@ -117,6 +120,10 @@ func (c *Cache) Digest(ctx context.Context, b polybench.Bench, opts compile.Opti
 // performed (memoized and deduplicated requests not counted).
 func (c *Cache) Captures() int { return int(c.captures.Load()) }
 
+// Compiles returns how many kernel variants the cache has compiled
+// (memoized and deduplicated requests not counted).
+func (c *Cache) Compiles() int { return int(c.compiled.Load()) }
+
 // WarmUps returns how many warm-up passes the replays run through the
 // cache have performed.
 func (c *Cache) WarmUps() int { return int(c.warmUps.Load()) }
@@ -125,6 +132,7 @@ func (c *Cache) WarmUps() int { return int(c.warmUps.Load()) }
 func (c *Cache) variant(ctx context.Context, k string, b polybench.Bench, opts compile.Options) (variant, error) {
 	v, err := c.compiles.DoLabeled(ctx, k, "compile "+b.Name,
 		func(context.Context) (variant, error) {
+			c.compiled.Add(1)
 			ck, err := compile.Compile(b.Kernel(), opts)
 			if err != nil {
 				return variant{}, err
@@ -143,10 +151,10 @@ func (c *Cache) variant(ctx context.Context, k string, b polybench.Bench, opts c
 
 // functionalDigest hashes the inputs that determine ck's trace (see
 // Digest). Fields are length-delimited so no two distinct field tuples
-// collide by concatenation. The image field is sim.InitialState's
-// memory, the data segment ir.InitData fills and the zeroed stack above
-// it, hashed from a data-segment buffer and zeroStack: a State is built
-// only for a capture or a live run.
+// collide by concatenation. The image is sim.InitialState's memory: the
+// data segment ir.InitData fills, hashed as a field, and the stack above
+// it, which is always cpu.StackBytes of zeros and so is hashed as its
+// length alone. A State is built only for a capture or a live run.
 func functionalDigest(ck *compile.Compiled) ([sha256.Size]byte, error) {
 	code, err := isa.EncodeProgram(ck.Prog)
 	if err != nil {
@@ -170,16 +178,12 @@ func functionalDigest(ck *compile.Compiled) ([sha256.Size]byte, error) {
 	field([]byte(ck.Prog.Name))
 	field(code)
 	field(strconv.AppendInt(nil, int64(ck.Prog.DataSize), 10))
-	length(len(data) + len(zeroStack))
-	h.Write(data)
-	h.Write(zeroStack[:])
+	field(data)
+	length(cpu.StackBytes)
 	var d [sha256.Size]byte
 	h.Sum(d[:0])
 	return d, nil
 }
-
-// zeroStack is the stack region of every initial image.
-var zeroStack [cpu.StackBytes]byte
 
 // Run executes bench b under cfg by timing replay: RunGang of one
 // configuration. The result is byte-identical to sim.Run for the same
