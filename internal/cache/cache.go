@@ -150,15 +150,9 @@ type Cache struct {
 	setShift  uint
 	bankMask  int
 
-	// arr owns sets and mru; Release returns it to the pool of its
-	// geometry.
-	arr  *arrays
-	sets [][]line
-	// mru is a per-set probe hint: the way of the set's last hit.
-	// Access streams are line-local, so lookup checks it before the way
-	// scan. Purely an optimization — the returned way is identical with
-	// or without it, and it is never consulted for replacement.
-	mru      []int32
+	// arr owns sets; Release returns it to the pool of its geometry.
+	arr      *arrays
+	sets     [][]line
 	bankFree []int64
 	// sramFree is the SRAM partition's private per-bank busy-until
 	// clocks (nil unless SRAMWays > 0): the fast ways sit in their own
@@ -254,7 +248,7 @@ func New(cfg Config, next mem.Port) *Cache {
 		bankMask:  cfg.Banks - 1,
 	}
 	c.arr = getArrays(geometry{cfg.Sets(), cfg.Assoc})
-	c.sets, c.mru = c.arr.sets, c.arr.mru
+	c.sets = c.arr.sets
 	c.bankFree = make([]int64, cfg.Banks)
 	if cfg.SRAMWays > 0 {
 		c.sramFree = make([]int64, cfg.Banks)
@@ -273,13 +267,12 @@ func New(cfg Config, next mem.Port) *Cache {
 // share it whatever their latencies, banks or partitions.
 type geometry struct{ sets, assoc int }
 
-// arrays is the set storage of one cache: the line array, the per-set
-// slice headers into it, and the per-set MRU hints. It is the bulk of a
-// cache's memory (1 MB of lines for the 2 MB 16-way L2).
+// arrays is the set storage of one cache: the line array and the
+// per-set slice headers into it. It is the bulk of a cache's memory
+// (1 MB of lines for the 2 MB 16-way L2).
 type arrays struct {
 	lines []line
 	sets  [][]line
-	mru   []int32
 }
 
 // arrayPools maps a geometry to the *sync.Pool of its released arrays.
@@ -298,13 +291,11 @@ func poolOf(g geometry) *sync.Pool {
 func getArrays(g geometry) *arrays {
 	if a, ok := poolOf(g).Get().(*arrays); ok {
 		clear(a.lines)
-		clear(a.mru)
 		return a
 	}
 	a := &arrays{
 		lines: make([]line, g.sets*g.assoc),
 		sets:  make([][]line, g.sets),
-		mru:   make([]int32, g.sets),
 	}
 	for i := range a.sets {
 		a.sets[i] = a.lines[i*g.assoc : (i+1)*g.assoc : (i+1)*g.assoc]
@@ -318,7 +309,7 @@ func getArrays(g geometry) *arrays {
 // cache's lines. Its counters stay readable.
 func (c *Cache) Release() {
 	poolOf(geometry{len(c.arr.sets), c.cfg.Assoc}).Put(c.arr)
-	c.arr, c.sets, c.mru = nil, nil, nil
+	c.arr, c.sets = nil, nil
 }
 
 // Config returns the cache's configuration.
@@ -353,14 +344,8 @@ func log2(n int) int {
 // this runs once per simulated access.
 func (c *Cache) lookup(set int, tag mem.Addr) int {
 	ways := c.sets[set]
-	if m := c.mru[set]; int(m) < len(ways) {
-		if ln := &ways[m]; ln.valid && ln.tag == tag {
-			return int(m)
-		}
-	}
 	for w := range ways {
 		if ways[w].valid && ways[w].tag == tag {
-			c.mru[set] = int32(w)
 			return w
 		}
 	}
@@ -1128,20 +1113,4 @@ func (c *Cache) CopyWarm(src *Cache) {
 	}
 	c.useClock = src.useClock
 	copy(c.gated, src.gated)
-}
-
-// Reset clears all state and counters: a timing reset plus the
-// contents, the use clock, the gated ways and the witness.
-func (c *Cache) Reset() {
-	c.ResetTiming()
-	for _, set := range c.sets {
-		for w := range set {
-			set[w] = line{}
-		}
-	}
-	for i := range c.gated {
-		c.gated[i] = false
-	}
-	c.useClock = 0
-	c.Witness = 0
 }

@@ -260,15 +260,6 @@ func TestWriteMissAllocates(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	c := New(smallCfg(), &mem.FixedPort{Latency: 10})
-	c.Access(0, mem.Req{Addr: 0, Bytes: 4, Kind: mem.Write})
-	c.Reset()
-	if c.ResidentLines() != 0 || c.Stats().Accesses() != 0 || c.BankConflictCycles != 0 {
-		t.Error("reset incomplete")
-	}
-}
-
 func TestResetTimingKeepsContents(t *testing.T) {
 	c := New(smallCfg(), &mem.FixedPort{Latency: 10})
 	c.Access(0, mem.Req{Addr: 0, Bytes: 4, Kind: mem.Read})

@@ -280,19 +280,3 @@ func (b *Bypass) ResetTiming() {
 	b.Invalidations = 0
 	b.PredWaitCycles = 0
 }
-
-// Reset implements FrontEnd.
-func (b *Bypass) Reset() {
-	b.buf.reset()
-	b.stats = mem.Stats{}
-	b.readFree = 0
-	for i := range b.pred {
-		b.pred[i] = stream{}
-	}
-	b.predClock = 0
-	b.BypassHits = 0
-	b.PredFills = 0
-	b.Mispredicts = 0
-	b.Invalidations = 0
-	b.PredWaitCycles = 0
-}

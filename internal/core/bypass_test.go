@@ -177,15 +177,6 @@ func TestBypassLifecycle(t *testing.T) {
 	if !b.Contains(0x0c0) {
 		t.Error("ResetTiming must keep resident lines")
 	}
-	b.Reset()
-	if b.Contains(0x0c0) {
-		t.Error("Reset must clear the buffer")
-	}
-	for _, s := range b.pred {
-		if s.valid {
-			t.Fatal("Reset must clear predictor streams")
-		}
-	}
 }
 
 // Prefetch-kind regressions across the front-ends (the bugfix sweep):

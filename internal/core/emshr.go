@@ -164,12 +164,3 @@ func (m *EMSHR) ResetTiming() {
 	m.Invalidations = 0
 	m.Allocations = 0
 }
-
-// Reset implements FrontEnd.
-func (m *EMSHR) Reset() {
-	m.buf.reset()
-	m.portFree = 0
-	m.stats = mem.Stats{}
-	m.Invalidations = 0
-	m.Allocations = 0
-}

@@ -24,8 +24,6 @@ type FrontEnd interface {
 	Stats() mem.Stats
 	// Name identifies the structure in reports.
 	Name() string
-	// Reset clears all state and counters.
-	Reset()
 	// ResetTiming clears clocks and counters but keeps resident lines
 	// (for warm-up-then-measure methodology).
 	ResetTiming()
@@ -54,9 +52,6 @@ func (d *Direct) Stats() mem.Stats { return d.stats }
 
 // Name implements FrontEnd.
 func (d *Direct) Name() string { return "direct" }
-
-// Reset implements FrontEnd.
-func (d *Direct) Reset() { d.stats = mem.Stats{} }
 
 // ResetTiming implements FrontEnd.
 func (d *Direct) ResetTiming() { d.stats = mem.Stats{} }
@@ -227,19 +222,6 @@ func (b *buffer) resetTiming() {
 		b.pfRecent[i] = pfEntry{}
 	}
 	b.pfHead = 0
-}
-
-func (b *buffer) reset() {
-	for i := range b.entries {
-		b.entries[i] = entry{}
-	}
-	for i := range b.pfRecent {
-		b.pfRecent[i] = pfEntry{}
-	}
-	b.pfHead = 0
-	b.useClock = 0
-	b.fifoNext = 0
-	b.witness = 0
 }
 
 // lines returns the number of entries (for tests).

@@ -173,12 +173,3 @@ func (l *L0Cache) ResetTiming() {
 	l.Refills = 0
 	l.PortStallCycles = 0
 }
-
-// Reset implements FrontEnd.
-func (l *L0Cache) Reset() {
-	l.buf.reset()
-	l.portFree = 0
-	l.stats = mem.Stats{}
-	l.Refills = 0
-	l.PortStallCycles = 0
-}

@@ -222,14 +222,3 @@ func (v *VWB) ResetTiming() {
 	v.PromoteWaitCycles = 0
 	v.PrefetchUseful, v.PrefetchWasted = 0, 0
 }
-
-// Reset implements FrontEnd.
-func (v *VWB) Reset() {
-	v.buf.reset()
-	v.stats = mem.Stats{}
-	v.readFree, v.writeFree = 0, 0
-	v.Promotions = 0
-	v.WriteBacks = 0
-	v.PromoteWaitCycles = 0
-	v.PrefetchUseful, v.PrefetchWasted = 0, 0
-}

@@ -57,7 +57,6 @@ type replayState struct {
 	fetchSlots int
 	sbHead     int
 	lqHead     int
-	nextMp     int
 	mpK        int
 
 	// Pass-immutable geometry and streams.
@@ -66,7 +65,6 @@ type replayState struct {
 	maxInsts   uint64
 	codeBase   mem.Addr
 	tr         *Trace
-	mpIdx      []int32
 	imem, dmem mem.Port
 	// il1 is non-nil when the instruction side is a bare cache (the
 	// FetchStream serves its hits).
@@ -74,6 +72,9 @@ type replayState struct {
 	il1Shift uint
 
 	fs cache.FetchStream
+	// pred is the pass's branch predictor; its counters carry across
+	// record ranges exactly as RunState's do across instructions.
+	pred bpred
 
 	sbuf, lq []int64
 
@@ -90,19 +91,14 @@ type replayState struct {
 }
 
 // newReplayState wires one timing pass of c over tr: it resolves c's
-// configuration, binds the trace's mispredict stream, and opens the
-// fetch stream on a bare IL1.
+// configuration, builds a fresh branch predictor, and opens the fetch
+// stream on a bare IL1.
 func newReplayState(c *CPU, tr *Trace) *replayState {
 	cfg := c.Cfg.withDefaults()
-	st := &replayState{maxInsts: cfg.MaxInsts, tr: tr}
-	st.mpIdx = tr.mispredicts(cfg.BpredEntries).idx
+	st := &replayState{maxInsts: cfg.MaxInsts, tr: tr, pred: *newBpred(cfg.BpredEntries)}
 	st.issueWidth = cfg.IssueWidth
 	st.penalty = cfg.MispredictPenalty
 	st.codeBase = mem.Addr(cfg.CodeBase)
-	st.nextMp = -1
-	if len(st.mpIdx) > 0 {
-		st.nextMp = int(st.mpIdx[0])
-	}
 	st.imem, st.dmem = c.IMem, c.DMem
 	st.sbuf = queueSlots(st.sbufArr[:], cfg.StoreBufDepth)
 	st.lq = queueSlots(st.lqArr[:], cfg.LoadQueueDepth)
@@ -160,7 +156,7 @@ func (st *replayState) run(lo, hi int) {
 		sbuf, lq   = st.sbuf, st.lq
 		sbDepth    = len(sbuf)
 		lqDepth    = len(lq)
-		mpIdx      = st.mpIdx
+		pred       = &st.pred
 		fs         = &st.fs
 		il1Shift   = st.il1Shift
 
@@ -185,13 +181,12 @@ func (st *replayState) run(lo, hi int) {
 		writeStall = st.writeStall
 		sbHead     = st.sbHead
 		lqHead     = st.lqHead
-		nextMp     = st.nextMp
 		mpK        = st.mpK
 	)
 	for lo < hi {
 		c, first := chunks[lo>>chunkShift], lo&^chunkMask // first: record index of entry 0
 		end := min(hi-first, chunkRecs)
-		pcs, addrs := c.pcs[:end], c.addrs[:end]
+		pcs, addrs, taken := c.pcs[:end], c.addrs[:end], &c.taken
 		for j := lo & chunkMask; j < end; j++ {
 			pc, addr := int(pcs[j]), mem.Addr(addrs[j])
 			d := dec[pc]
@@ -317,11 +312,19 @@ func (st *replayState) run(lo, hi int) {
 				divFree = done
 			}
 
-			if first+j == nextMp {
-				redirectAt = issue + 1 + st.penalty
-				nextMp = -1
-				if mpK++; mpK < len(mpIdx) {
-					nextMp = int(mpIdx[mpK])
+			// Branch prediction, as in RunState: a conditional branch
+			// mispredicts when the 2-bit counter disagrees with the
+			// recorded direction, an indirect jump always does.
+			if d.flags&(dfCondBr|dfJR) != 0 {
+				miss := true
+				if d.flags&dfCondBr != 0 {
+					t := taken[j>>6]&(1<<uint(j&63)) != 0
+					miss = pred.predict(pc) != t
+					pred.update(pc, t)
+				}
+				if miss {
+					redirectAt = issue + 1 + st.penalty
+					mpK++
 				}
 			}
 
@@ -344,6 +347,5 @@ func (st *replayState) run(lo, hi int) {
 	st.writeStall = writeStall
 	st.sbHead = sbHead
 	st.lqHead = lqHead
-	st.nextMp = nextMp
 	st.mpK = mpK
 }

@@ -86,10 +86,14 @@ func timingOf(r *Result) Result {
 
 // TestReplayMatchesLive checks replay on both kinds of data port — a
 // Direct front end and a buffered (VWB) one — with the IL1 bare and
-// wrapped, against live execution: every Result counter, the traffic
-// each cache saw and the front end's own stats must be identical. For
-// Direct, those stats are its per-access class counts. The trace spans
-// three chunks, so the kernel's state crosses two chunk boundaries.
+// wrapped, and under several branch-predictor table sizes (1 aliases
+// every branch onto one counter; 0 and the non-power-of-two 3 fall back
+// to the default 512), against live execution: every Result counter, the traffic each cache saw and the
+// front end's own stats must be identical. For Direct, those stats are
+// its per-access class counts. The trace spans three chunks, so the
+// kernel's state crosses two chunk boundaries; a second replay is cut by
+// Interrupt probes every 777 records, so the predictor's counters also
+// cross range boundaries.
 func TestReplayMatchesLive(t *testing.T) {
 	prog := kernelProg(50)
 	tr, err := Capture(prog, NewState(prog), 0)
@@ -105,32 +109,45 @@ func TestReplayMatchesLive(t *testing.T) {
 		{"direct-wrapped-il1", true, true},
 		{"buffered-wrapped-il1", true, false},
 	}
+	probed := &ReplayCtl{Interrupt: func() error { return nil }, InterruptEvery: 777}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			live := newKernelSystem(tc.wrapIL1, tc.direct)
-			want, err := (&CPU{Cfg: DefaultConfig(), IMem: live.imem, DMem: live.fe}).Run(prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := newKernelSystem(tc.wrapIL1, tc.direct)
-			got, err := (&CPU{Cfg: DefaultConfig(), IMem: rep.imem, DMem: rep.fe}).ReplayTrace(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if timingOf(got) != timingOf(want) {
-				t.Errorf("replay %+v\nlive   %+v", timingOf(got), timingOf(want))
-			}
-			if want.Mispredicts == 0 || want.Loads == 0 || want.Stores == 0 || want.Prefetches == 0 {
-				t.Errorf("program does not exercise every record class: %+v", timingOf(want))
-			}
-			if g, w := rep.il1.Stats(), live.il1.Stats(); g != w {
-				t.Errorf("IL1 stats: replay %+v, live %+v", g, w)
-			}
-			if g, w := rep.dl1.Stats(), live.dl1.Stats(); g != w {
-				t.Errorf("DL1 stats: replay %+v, live %+v", g, w)
-			}
-			if g, w := rep.fe.Stats(), live.fe.Stats(); g != w {
-				t.Errorf("%s front-end stats: replay %+v, live %+v", rep.fe.Name(), g, w)
+			for _, entries := range []int{0, 1, 2, 3, 64, 4096} {
+				cfg := DefaultConfig()
+				cfg.BpredEntries = entries
+				t.Run("bpred="+strconv.Itoa(entries), func(t *testing.T) {
+					live := newKernelSystem(tc.wrapIL1, tc.direct)
+					want, err := (&CPU{Cfg: cfg, IMem: live.imem, DMem: live.fe}).Run(prog)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want.Mispredicts == 0 || want.Loads == 0 || want.Stores == 0 || want.Prefetches == 0 {
+						t.Errorf("program does not exercise every record class: %+v", timingOf(want))
+					}
+					for _, ctl := range []*ReplayCtl{nil, probed} {
+						rep := newKernelSystem(tc.wrapIL1, tc.direct)
+						got, _, err := (&CPU{Cfg: cfg, IMem: rep.imem, DMem: rep.fe}).ReplayTraceCtl(tr, ctl)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pass := "whole"
+						if ctl != nil {
+							pass = "probed"
+						}
+						if timingOf(got) != timingOf(want) {
+							t.Errorf("%s replay %+v\nlive   %+v", pass, timingOf(got), timingOf(want))
+						}
+						if g, w := rep.il1.Stats(), live.il1.Stats(); g != w {
+							t.Errorf("IL1 stats: %s replay %+v, live %+v", pass, g, w)
+						}
+						if g, w := rep.dl1.Stats(), live.dl1.Stats(); g != w {
+							t.Errorf("DL1 stats: %s replay %+v, live %+v", pass, g, w)
+						}
+						if g, w := rep.fe.Stats(), live.fe.Stats(); g != w {
+							t.Errorf("%s front-end stats: %s replay %+v, live %+v", rep.fe.Name(), pass, g, w)
+						}
+					}
+				})
 			}
 		})
 	}
@@ -293,7 +310,7 @@ func countdownProg(k int32) *isa.Program {
 // TestCaptureChunkLayout checks the storage Capture fills against the
 // record stream of a fresh functional run: the trace uses exactly
 // ceil(Len/chunkRecs) chunks, every chunk but the last is full, each
-// record's PC, address and taken bit sit where Chunk and TakenAt say,
+// record's PC, address and taken bit sit where Chunk says,
 // and the last chunk's taken bitset is clear past the final record (so
 // the chunks' bitsets concatenate into the whole trace's). The lengths
 // cover a partial single chunk, a last chunk that ends exactly on a
@@ -352,8 +369,8 @@ func TestCaptureChunkLayout(t *testing.T) {
 					if cpcs[j] != pcs[i] || caddrs[j] != addrs[i] {
 						t.Fatalf("record %d: pc %d addr %#x, want pc %d addr %#x", i, cpcs[j], caddrs[j], pcs[i], addrs[i])
 					}
-					if bit := ctaken[j>>6]&(1<<uint(j&63)) != 0; bit != taken[i] || tr.TakenAt(i) != taken[i] {
-						t.Fatalf("record %d: taken bit %t, TakenAt %t, want %t", i, bit, tr.TakenAt(i), taken[i])
+					if bit := ctaken[j>>6]&(1<<uint(j&63)) != 0; bit != taken[i] {
+						t.Fatalf("record %d: taken bit %t, want %t", i, bit, taken[i])
 					}
 				}
 				if r := m & 63; r != 0 && ctaken[len(ctaken)-1]>>uint(r) != 0 {

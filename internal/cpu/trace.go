@@ -16,15 +16,13 @@
 // Replay is also substantially cheaper per instruction than live
 // execution: the functional step disappears, and everything static per
 // PC — operand register-file indexes, latency class, memory class,
-// branch class — is pre-decoded once per program into a flat table,
-// while the branch predictor's outcome stream (which depends only on the
-// PC/direction stream and the table size) is precomputed once per trace
-// and shared by every configuration replaying it.
+// branch class — is pre-decoded once per program into a flat table.
+// The branch predictor runs inside the replay loop, on branch records
+// only, as it does in RunState.
 package cpu
 
 import (
 	"fmt"
-	"sync"
 
 	"sttdl1/internal/isa"
 )
@@ -48,9 +46,6 @@ type Trace struct {
 	// (instruction/class counts), computed once so replay does not
 	// re-count per design point.
 	counts traceCounts
-
-	mu      sync.Mutex
-	mispred map[int]mispredSet // bpred table size -> mispredicted records
 }
 
 // Trace records are stored in chunks of chunkRecs records: traces run
@@ -77,14 +72,6 @@ type traceCounts struct {
 	branches                  uint64
 }
 
-// mispredSet is the sorted list of record indexes the predictor gets
-// wrong (its length is the trace's mispredict total for that predictor
-// size). A sparse list beats a bitset in replay: the loop compares the
-// running index against one register instead of probing a bit per record.
-type mispredSet struct {
-	idx []int32
-}
-
 // Len returns the number of retired instructions in the trace.
 func (t *Trace) Len() int { return t.n }
 
@@ -99,12 +86,6 @@ func (t *Trace) Chunk(k int) (pcs []int32, addrs []uint32, taken []uint64) {
 	c := t.chunks[k]
 	m := min(t.n-k*chunkRecs, chunkRecs)
 	return c.pcs[:m], c.addrs[:m], c.taken[:(m+63)/64]
-}
-
-// TakenAt reports whether record i redirected control flow.
-func (t *Trace) TakenAt(i int) bool {
-	j := i & chunkMask
-	return t.chunks[i>>chunkShift].taken[j>>6]&(1<<uint(j&63)) != 0
 }
 
 // decoded is the per-PC static portion of the timing model: everything
@@ -257,47 +238,6 @@ func Capture(prog *isa.Program, st *State, maxInsts uint64) (*Trace, error) {
 	t := &Trace{chunks: chunks, n: n, Final: st, dec: decodeProg(prog)}
 	t.counts = t.count(n)
 	return t, nil
-}
-
-// mispredicts returns (computing and memoizing on first use) the
-// sorted indexes of the records a predictor table of the given size
-// gets wrong: branches the 2-bit predictor mispredicts, and indirect
-// jumps. The stream depends only on the trace and the table
-// size — never on cache or core timing — so every configuration
-// replaying this trace shares it.
-func (t *Trace) mispredicts(entries int) mispredSet {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		entries = 512
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if ms, ok := t.mispred[entries]; ok {
-		return ms
-	}
-	pred := newBpred(entries)
-	var idx []int32
-	for k := range t.chunks {
-		pcs, _, _ := t.Chunk(k)
-		for j, pc := range pcs {
-			i := k*chunkRecs + j
-			d := &t.dec[pc]
-			if d.flags&dfCondBr != 0 {
-				taken := t.TakenAt(i)
-				if pred.predict(int(pc)) != taken {
-					idx = append(idx, int32(i))
-				}
-				pred.update(int(pc), taken)
-			} else if d.flags&dfJR != 0 {
-				idx = append(idx, int32(i))
-			}
-		}
-	}
-	ms := mispredSet{idx: idx}
-	if t.mispred == nil {
-		t.mispred = map[int]mispredSet{}
-	}
-	t.mispred[entries] = ms
-	return ms
 }
 
 // ReplayCtl controls a partial timing replay (DESIGN.md §7.5). The

@@ -80,55 +80,59 @@ func Evaluate(eng Engine, benches []polybench.Bench, sp Space) (*Evaluation, err
 		return nil, fmt.Errorf("dse: space %q enumerates no points", sp.Name)
 	}
 
-	// One fan-out over everything the scoring loop will consume. The
-	// sim.Config structs are plain values, so the shared-baseline check
-	// is plain equality.
+	// One fan-out over everything the scoring loop will consume.
 	cfgs := make([]sim.Config, 0, 2*len(pts))
-	sharedBaseline := true
-	base0 := sp.BaselineFor(pts[0].Config)
 	for _, pt := range pts {
-		b := sp.BaselineFor(pt.Config)
-		if b != base0 {
-			sharedBaseline = false
-		}
-		cfgs = append(cfgs, pt.Config, b)
+		cfgs = append(cfgs, pt.Config, sp.BaselineFor(pt.Config))
 	}
 	if err := eng.Prefetch(benches, cfgs...); err != nil {
 		return nil, fmt.Errorf("dse: %s: %w", sp.Name, err)
 	}
 
-	ev := &Evaluation{Space: sp, Benches: benchNames(benches)}
+	scored := make([]PointResult, 0, len(pts)+1)
 	for _, pt := range pts {
 		obj, err := score(eng, benches, pt.Config, sp.BaselineFor(pt.Config))
 		if err != nil {
 			return nil, fmt.Errorf("dse: %s: point %s: %w", sp.Name, pt.Label, err)
 		}
-		ev.Points = append(ev.Points, PointResult{
-			Point:    pt,
-			Obj:      obj,
-			Proposal: IsProposal(pt.Config),
-		})
+		scored = append(scored, PointResult{Point: pt, Obj: obj})
 	}
-	// The shared SRAM baseline is itself a design alternative: penalty 0
-	// at SRAM leakage and area. Include it in the dominance computation
-	// when the whole space measures against one baseline.
-	if sharedBaseline {
+	ev, err := rankEvaluation(eng, benches, sp, scored)
+	if err != nil {
+		return nil, fmt.Errorf("dse: %s: baseline: %w", sp.Name, err)
+	}
+	return &ev, nil
+}
+
+// rankEvaluation assembles the Evaluation of the scored points and
+// marks the proposal points. The shared SRAM baseline is itself a
+// design alternative — penalty 0 at SRAM leakage and area — so when
+// every point measures against one baseline, that baseline is scored
+// and appended as the reference point. Every point, the reference
+// included, then gets its dominance rank. An error is the baseline's
+// scoring error.
+func rankEvaluation(eng Engine, benches []polybench.Bench, sp Space, points []PointResult) (Evaluation, error) {
+	ev := Evaluation{Space: sp, Benches: benchNames(benches), Points: points}
+	base0 := sp.BaselineFor(points[0].Point.Config)
+	shared := true
+	for i := range points {
+		cfg := points[i].Point.Config
+		points[i].Proposal = IsProposal(cfg)
+		if sp.BaselineFor(cfg) != base0 {
+			shared = false
+		}
+	}
+	if shared {
 		obj, err := score(eng, benches, base0, base0)
 		if err != nil {
-			return nil, fmt.Errorf("dse: %s: baseline: %w", sp.Name, err)
+			return Evaluation{}, err
 		}
-		ref := base0
 		ev.Points = append(ev.Points, PointResult{
-			Point: Point{
-				Index:  len(pts),
-				Label:  ref.Name,
-				Config: ref,
-			},
+			Point:     Point{Index: len(points), Label: base0.Name, Config: base0},
 			Obj:       obj,
 			Reference: true,
 		})
 	}
-
 	objs := make([][]float64, len(ev.Points))
 	for i, p := range ev.Points {
 		objs[i] = p.Obj.Vector()

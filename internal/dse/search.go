@@ -618,37 +618,13 @@ func dominatedBy(frontier [][]float64, v []float64) bool {
 // dominance ranks exactly as Evaluate builds them) plus the search
 // accounting.
 func (g *guided) result() (*SearchResult, error) {
-	ev := Evaluation{Space: g.sp, Benches: benchNames(g.benches)}
-	sharedBaseline := true
-	base0 := g.sp.BaselineFor(g.archive[0].pt.Config)
+	scored := make([]PointResult, 0, len(g.archive)+1)
 	for _, e := range g.archive {
-		if g.sp.BaselineFor(e.pt.Config) != base0 {
-			sharedBaseline = false
-		}
-		ev.Points = append(ev.Points, PointResult{
-			Point:    e.pt,
-			Obj:      e.obj,
-			Proposal: IsProposal(e.pt.Config),
-		})
+		scored = append(scored, PointResult{Point: e.pt, Obj: e.obj})
 	}
-	if sharedBaseline {
-		obj, err := score(g.eng, g.benches, base0, base0)
-		if err != nil {
-			return nil, fmt.Errorf("dse: search %s: baseline: %w", g.sp.Name, err)
-		}
-		ref := base0
-		ev.Points = append(ev.Points, PointResult{
-			Point:     Point{Index: len(g.archive), Label: ref.Name, Config: ref},
-			Obj:       obj,
-			Reference: true,
-		})
-	}
-	objs := make([][]float64, len(ev.Points))
-	for i, p := range ev.Points {
-		objs[i] = p.Obj.Vector()
-	}
-	for i, r := range Ranks(objs) {
-		ev.Points[i].Rank = r
+	ev, err := rankEvaluation(g.eng, g.benches, g.sp, scored)
+	if err != nil {
+		return nil, fmt.Errorf("dse: search %s: baseline: %w", g.sp.Name, err)
 	}
 	return &SearchResult{
 		Evaluation:  ev,

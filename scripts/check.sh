@@ -22,8 +22,10 @@ go test -run '^$' -fuzz '^FuzzRecordDecode$' -fuzztime 15s ./internal/store
 # Otherwise only go vet would ever compile the replay profiling
 # benchmarks; run each sub-benchmark once so they keep working.
 go test -run '^$' -bench BenchmarkReplayKernel -benchtime 1x ./internal/replay
-# The same for the cold and warm store sweeps behind BENCH_sweep.json.
+# The same for the cold and warm store sweeps behind BENCH_sweep.json,
+# and for the cold replay sweep DESIGN.md §7.9's fast-path audit cites.
 go test -run '^$' -bench '^BenchmarkStoreSweep$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkReplaySweep$' -benchtime 1x .
 
 # Snapshots: every table and figure must render byte-identically to the
 # committed results. A snapshot diff catches bugs in the cache and
