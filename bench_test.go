@@ -298,7 +298,7 @@ func BenchmarkReplaySweep(b *testing.B) {
 		b.Fatal("smoke space not registered")
 	}
 	benches := suiteMatrixBenches()
-	b.Run("gang", func(b *testing.B) {
+	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := experiments.NewSuiteJobs(benches, 8)
 			ev, err := dse.Evaluate(s, benches, sp)

@@ -481,8 +481,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	suite := experiments.NewSuiteJobs(benches, *jobs)
-	suite.SetCheck(*checked)
+	suite := experiments.NewSuiteJobs(benches, *jobs).WithCheck(*checked)
 	suite.SetStore(st)
 	var counters stats.Counters
 	progress := newProgressLine(os.Stderr, *verbose)
@@ -581,8 +580,7 @@ func cmdDse(args []string) error {
 		}
 	}
 
-	suite := experiments.NewSuiteJobs(benches, *jobs)
-	suite.SetCheck(*checked)
+	suite := experiments.NewSuiteJobs(benches, *jobs).WithCheck(*checked)
 	suite.SetStore(st)
 	var counters stats.Counters
 	progress := newProgressLine(os.Stderr, *verbose)

@@ -180,10 +180,8 @@ type Cache struct {
 
 	// Extra visibility counters.
 	BankConflictCycles int64
-	// ConflictByKind splits BankConflictCycles by request kind.
-	ConflictByKind  [6]int64
-	MSHRStallCycles int64
-	WBStallCycles   int64
+	MSHRStallCycles    int64
+	WBStallCycles      int64
 	// HitUnderFillCycles accumulates cycles hits spent waiting for the
 	// in-flight fill of their own line (the causality cap in accessOne).
 	HitUnderFillCycles int64
@@ -393,14 +391,11 @@ func (c *Cache) fillPartition(isWrite bool) (lo, hi int) {
 }
 
 // waitBank advances start past the bank's busy-until clock,
-// accumulating the conflict counters.
-func (c *Cache) waitBank(clocks []int64, bank int, now int64, kind mem.Kind) int64 {
+// accumulating BankConflictCycles.
+func (c *Cache) waitBank(clocks []int64, bank int, now int64) int64 {
 	start := now
 	if bf := clocks[bank]; bf > start {
 		c.BankConflictCycles += bf - start
-		if int(kind) < len(c.ConflictByKind) {
-			c.ConflictByKind[kind] += bf - start
-		}
 		start = bf
 	}
 	return start
@@ -481,7 +476,7 @@ func (c *Cache) accessOne(now int64, req mem.Req) int64 {
 		} else if isWrite {
 			lat, ival = c.cfg.WriteLat, c.cfg.WriteInterval
 		}
-		start := c.waitBank(clocks, bank, now, req.Kind)
+		start := c.waitBank(clocks, bank, now)
 		ln := &c.sets[set][way]
 		ln.lastUse = c.useClock
 		if isWrite {
@@ -526,7 +521,7 @@ func (c *Cache) accessOne(now int64, req mem.Req) int64 {
 	// its line installed (so a second access hits under it), and a line
 	// that left the array owes nothing to its old fill.
 	clocks, mlat, mival := c.missClocks()
-	start := c.waitBank(clocks, bank, now, req.Kind)
+	start := c.waitBank(clocks, bank, now)
 	if c.cfg.SRAMWays == c.cfg.Assoc && c.sramFree != nil {
 		c.SRAMReads++
 	}
@@ -712,175 +707,52 @@ func (c *Cache) GatedWays() []bool {
 	return out
 }
 
-// FetchStream is an open accounting window over the instruction-fetch
-// stream of one timing replay (cpu.ReplayTrace). The replay loop fetches
-// sequentially, so fetches overwhelmingly hit a small working set of
-// resident lines — a tight loop body straddles a handful of lines and
-// revisits them every iteration. The stream keeps up to eight such lines
-// "open" at once, together with private copies of every bank's busy-until
-// clock, so the per-fetch read-hit arithmetic of accessOne (bank busy
-// chain, conflict accumulation, the hit-under-fill cap) runs inline in
-// the replay loop on the exported fields, and the batched side effects
-// (bank clocks, LRU clock, hit statistics, conflict/busy counters) flush
-// exactly once in Close.
-//
-// Exactness: while the stream is open, no open line can move (hits never
-// evict, and the fetch stream is this cache's only client — the caller
-// only uses a stream on a bare IL1, never through a front-end or oracle
-// wrapper); every generic access — a miss — closes the stream first, so
-// no other code observes the deferred state. Per-line LRU stamps are
-// reconstructed exactly: the stream numbers every fetch it serves, so a
-// line's flushed lastUse equals the useClock value the per-access path
-// would have written at its final access.
-type FetchStream struct {
-	c    *Cache
-	open bool
-	// seq0 is c.useClock at open; fetch k of the stream (1-based) would
-	// have observed useClock seq0+k on the per-access path.
-	seq0     uint64
-	bankFree []int64 // private copies of c.bankFree while open
-	// slots is a small direct-mapped file of open lines (indexed by
-	// line & 7, so a contiguous loop body maps without collisions).
-	slots   [8]fetchSlot
-	curSlot int
-
-	// Exported hot state, read and advanced inline by the replay loop.
-
-	// Lat/Ival are the hit latency and per-bank initiation interval.
-	Lat, Ival int64
-	// CurLine is the line number of the current slot, NoFetchLine when
-	// the stream is closed; the replay loop compares it per fetch and
-	// calls Switch on mismatch.
-	CurLine mem.Addr
-	// CurReady is the current line's fill-ready cap (hit-under-fill).
-	CurReady int64
-	// CurBankFree points at the current line's private bank clock.
-	CurBankFree *int64
-	// Seq counts fetches served since open; Conflicts/HUF accumulate
-	// bank-conflict and hit-under-fill cycles for Close to flush.
-	Seq, Conflicts, HUF int64
+// FetchLine is a resident line held open by the replay loop's
+// instruction fetch (cpu.ReplayTrace): a fetch that stays on it is a hit
+// that needs no lookup, served by FetchHit.
+type FetchLine struct {
+	ln   *line
+	bank *int64
 }
 
-// fetchSlot is one open line of a FetchStream.
-type fetchSlot struct {
-	ln      *line
-	lineN   mem.Addr
-	bank    int
-	valid   bool
-	ready   int64
-	lastIdx int64 // Seq at this slot's most recent access (saved on switch-away)
-}
-
-// NoFetchLine is FetchStream.CurLine's closed-stream sentinel; it can
-// never be a real line number (addresses are far below 2^64 lines).
-const NoFetchLine = ^mem.Addr(0)
-
-// Init binds the stream to a cache. The stream starts closed; it opens
-// lazily on the first Switch and must be Closed before any generic
-// Access to the cache and before the replay returns.
-func (s *FetchStream) Init(c *Cache) {
+// OpenFetch looks up line number lineN for an instruction fetch. On a
+// hit it returns the line open, and the caller serves this and every
+// further fetch of it through FetchHit until its next Access, which may
+// evict the line. On a miss it reports false, and the caller fetches
+// through Access, which installs the line.
+func (c *Cache) OpenFetch(lineN mem.Addr) (FetchLine, bool) {
 	if c.cfg.SRAMWays > 0 || c.cfg.ShutdownInterval > 0 {
-		// The stream inlines the homogeneous read-hit arithmetic; hybrid
-		// partitioning and way shutdown are DL1-only mechanisms, never
-		// configured on the bare IL1 the stream serves.
-		panic(fmt.Sprintf("cache %s: FetchStream requires a homogeneous, always-on array", c.cfg.Name))
-	}
-	s.c = c
-	s.Lat, s.Ival = c.cfg.ReadLat, c.cfg.ReadInterval
-	if s.bankFree == nil || len(s.bankFree) != len(c.bankFree) {
-		s.bankFree = make([]int64, len(c.bankFree))
-	}
-	s.open = false
-	s.CurLine = NoFetchLine
-	s.CurBankFree = nil
-	for i := range s.slots {
-		s.slots[i].valid = false
-	}
-	s.Seq, s.Conflicts, s.HUF = 0, 0, 0
-}
-
-// Switch makes lineN the stream's current line, opening the stream if
-// necessary. It reports false on a cache miss, in which case the stream
-// has been Closed (all deferred state flushed) and the caller must serve
-// this fetch — which installs the line — through the generic Access
-// path; the next fetch of the line reopens a stream over it.
-func (s *FetchStream) Switch(lineN mem.Addr) bool {
-	c := s.c
-	if !s.open {
-		s.open = true
-		s.seq0 = c.useClock
-		copy(s.bankFree, c.bankFree)
-	} else if s.CurLine != NoFetchLine {
-		s.slots[s.curSlot].lastIdx = s.Seq
-	}
-	idx := int(lineN) & (len(s.slots) - 1)
-	if sl := &s.slots[idx]; sl.valid && sl.lineN == lineN {
-		s.setCur(idx)
-		return true
+		// FetchHit is the homogeneous read hit; hybrid partitioning and
+		// way shutdown are DL1-only mechanisms, never configured on the
+		// bare IL1 the replay loop fetches from.
+		panic(fmt.Sprintf("cache %s: OpenFetch requires a homogeneous, always-on array", c.cfg.Name))
 	}
 	set, tag := int(lineN&c.setMask), lineN>>c.setShift
 	w := c.lookup(set, tag)
 	if w < 0 {
-		s.Close()
-		return false
+		return FetchLine{}, false
 	}
-	// Direct-mapped collision: retire the resident line. Its flushed
-	// lastUse is exact, so evicting a slot at any time is sound.
-	if s.slots[idx].valid {
-		s.flushSlot(idx)
-	}
-	ln := &c.sets[set][w]
-	s.slots[idx] = fetchSlot{ln: ln, lineN: lineN, bank: int(lineN) & c.bankMask, valid: true, ready: ln.ready, lastIdx: s.Seq}
-	s.setCur(idx)
-	return true
+	return FetchLine{ln: &c.sets[set][w], bank: &c.bankFree[int(lineN)&c.bankMask]}, true
 }
 
-func (s *FetchStream) setCur(i int) {
-	sl := &s.slots[i]
-	s.curSlot = i
-	s.CurLine = sl.lineN
-	s.CurReady = sl.ready
-	s.CurBankFree = &s.bankFree[sl.bank]
-}
-
-// flushSlot writes the slot's exact final LRU stamp: its last access was
-// fetch lastIdx of the stream, which the per-access path would have
-// stamped with useClock seq0+lastIdx.
-func (s *FetchStream) flushSlot(i int) {
-	sl := &s.slots[i]
-	sl.ln.lastUse = s.seq0 + uint64(sl.lastIdx)
-}
-
-// Close flushes the stream's batched state updates into the cache:
-// per-line LRU stamps, bank clocks, hit statistics, and the conflict,
-// busy and hit-under-fill counters. Closing a closed stream is a no-op,
-// so callers may close unconditionally at boundaries.
-func (s *FetchStream) Close() {
-	if !s.open {
-		return
-	}
-	s.open = false
-	if s.CurLine != NoFetchLine {
-		s.slots[s.curSlot].lastIdx = s.Seq
-	}
-	c := s.c
-	for i := range s.slots {
-		if s.slots[i].valid {
-			s.flushSlot(i)
-			s.slots[i].valid = false
-		}
-	}
-	copy(c.bankFree, s.bankFree)
-	c.useClock += uint64(s.Seq)
-	c.stats.Reads += uint64(s.Seq)
-	c.stats.ReadHits += uint64(s.Seq)
-	c.stats.BusyCycles += s.Ival * s.Seq
-	c.BankConflictCycles += s.Conflicts
-	c.ConflictByKind[mem.Fetch] += s.Conflicts
-	c.HitUnderFillCycles += s.HUF
-	s.CurLine = NoFetchLine
-	s.CurBankFree = nil
-	s.Seq, s.Conflicts, s.HUF = 0, 0, 0
+// FetchHit serves an instruction fetch at cycle now that hits the open
+// line fl. It is accessOne's read hit without the lookup: the same bank
+// wait, counters, LRU stamp and hit-under-fill cap. It must stay within
+// the inliner's budget (scripts/check.sh), because the replay loop calls
+// it on nearly every record.
+func (c *Cache) FetchHit(now int64, fl FetchLine) int64 {
+	c.useClock++
+	c.stats.Reads++
+	c.stats.ReadHits++
+	start := max(now, *fl.bank)
+	c.BankConflictCycles += start - now
+	*fl.bank = start + c.cfg.ReadInterval
+	c.stats.BusyCycles += c.cfg.ReadInterval
+	fl.ln.lastUse = c.useClock
+	hit := start + c.cfg.ReadLat
+	done := max(hit, fl.ln.ready)
+	c.HitUnderFillCycles += done - hit
+	return done
 }
 
 func (c *Cache) reconstructAddr(set int, tag mem.Addr) mem.Addr {
@@ -1091,7 +963,6 @@ func (c *Cache) ResetTiming() {
 	}
 	c.stats = mem.Stats{}
 	c.BankConflictCycles = 0
-	c.ConflictByKind = [6]int64{}
 	c.MSHRStallCycles = 0
 	c.WBStallCycles = 0
 	c.HitUnderFillCycles = 0

@@ -95,9 +95,6 @@ func TestBankOccupancyNonPipelined(t *testing.T) {
 	if c.BankConflictCycles == 0 {
 		t.Error("conflict cycles not recorded")
 	}
-	if c.ConflictByKind[mem.Read] == 0 {
-		t.Error("per-kind conflict not recorded")
-	}
 }
 
 func TestBankOccupancyPipelined(t *testing.T) {

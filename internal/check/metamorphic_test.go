@@ -46,8 +46,7 @@ func TestFig3FullMatrixChecked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full problem sizes; skipped in -short")
 	}
-	s := experiments.NewSuite(nil)
-	s.SetCheck(true)
+	s := experiments.NewSuite(nil).WithCheck(true)
 	if _, err := s.Fig3(); err != nil {
 		t.Fatalf("checked Fig. 3 matrix: %v", err)
 	}
@@ -154,10 +153,8 @@ func TestLatencyDilation(t *testing.T) {
 func TestFig3DeterministicUnderParallelismChecked(t *testing.T) {
 	benches := smallBenches(t)
 
-	serial := experiments.NewSuiteJobs(benches, 1)
-	serial.SetCheck(true)
-	parallel := experiments.NewSuiteJobs(benches, 8)
-	parallel.SetCheck(true)
+	serial := experiments.NewSuiteJobs(benches, 1).WithCheck(true)
+	parallel := experiments.NewSuiteJobs(benches, 8).WithCheck(true)
 
 	f1, err := serial.Fig3()
 	if err != nil {

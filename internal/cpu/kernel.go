@@ -3,11 +3,12 @@
 // The replay hot loop exists once, as replayState.run, and calls the
 // data port through the mem.Port interface whatever front end sits
 // behind it. Instruction fetch has one fast path: when the IL1 is a
-// bare *cache.Cache, a FetchStream keeps the current line open and a
-// fetch that stays on it never leaves the loop; a line switch goes
-// through FetchStream.Switch. Any other instruction port (an IL1 front
-// end, the timing oracle's wrapper) leaves the stream closed, so its
-// CurLine sentinel never matches and every fetch takes imem.Access.
+// bare *cache.Cache, the loop keeps the line of its last fetch hit open
+// (cache.OpenFetch), and a fetch that stays on it is served by
+// cache.FetchHit, the read hit without the lookup. Any other fetch —
+// every fetch through any other instruction port (an IL1 front end, the
+// timing oracle's wrapper), and a miss on the bare IL1 — takes
+// imem.Access and drops the open line, which the access may evict.
 //
 // The kernel runs records [lo, hi), so the one driver
 // (CPU.ReplayTraceCtl) hoists all partial-replay control — truncation,
@@ -38,6 +39,10 @@ import (
 // into straight-line arithmetic.
 func pos64(d int64) int64 { return d &^ (d >> 63) }
 
+// noLine is the closed value of run's open fetch line; it can never be a
+// real line number (addresses are far below 2^64 lines).
+const noLine = ^mem.Addr(0)
+
 // replayState is the complete loop-carried state of one configuration's
 // timing pass, factored out of the loop so the kernel can run it in record
 // ranges (probe intervals). The sbuf/lq slices alias the embedded arrays,
@@ -66,12 +71,11 @@ type replayState struct {
 	codeBase   mem.Addr
 	tr         *Trace
 	imem, dmem mem.Port
-	// il1 is non-nil when the instruction side is a bare cache (the
-	// FetchStream serves its hits).
+	// il1 is non-nil when the instruction side is a bare cache (its
+	// open line serves same-line fetch hits).
 	il1      *cache.Cache
 	il1Shift uint
 
-	fs cache.FetchStream
 	// pred is the pass's branch predictor; its counters carry across
 	// record ranges exactly as RunState's do across instructions.
 	pred bpred
@@ -91,8 +95,7 @@ type replayState struct {
 }
 
 // newReplayState wires one timing pass of c over tr: it resolves c's
-// configuration, builds a fresh branch predictor, and opens the fetch
-// stream on a bare IL1.
+// configuration and builds a fresh branch predictor.
 func newReplayState(c *CPU, tr *Trace) *replayState {
 	cfg := c.Cfg.withDefaults()
 	st := &replayState{maxInsts: cfg.MaxInsts, tr: tr, pred: *newBpred(cfg.BpredEntries)}
@@ -102,21 +105,17 @@ func newReplayState(c *CPU, tr *Trace) *replayState {
 	st.imem, st.dmem = c.IMem, c.DMem
 	st.sbuf = queueSlots(st.sbufArr[:], cfg.StoreBufDepth)
 	st.lq = queueSlots(st.lqArr[:], cfg.LoadQueueDepth)
-	st.fs.CurLine = cache.NoFetchLine
 	if il1, ok := c.IMem.(*cache.Cache); ok {
 		st.il1 = il1
 		st.il1Shift = il1.LineShift()
-		st.fs.Init(il1)
 	}
 	return st
 }
 
-// finish closes the pass over its first n records: it flushes the fetch
-// stream and assembles the Result, whose retirement counters cover
-// exactly those n records. The mispredict count is the kernel's own
-// tally of the redirects it took.
+// finish closes the pass over its first n records: it assembles the
+// Result, whose retirement counters cover exactly those n records. The
+// mispredict count is the kernel's own tally of the redirects it took.
 func (st *replayState) finish(n int) *Result {
-	st.fs.Close()
 	tc := st.tr.counts
 	if n < st.tr.Len() {
 		// The partial result mirrors a live run's state at the cut.
@@ -142,9 +141,9 @@ func (st *replayState) finish(n int) *Result {
 // the index starts at a masked, so non-negative, offset, which lets the
 // compiler prove the PC and address loads in bounds; the 8-byte decode
 // entry is loaded by value into a register instead of chased through a
-// pointer ten times; and the FetchStream's hot fields live in locals
-// (written back before any Switch/Close so the stream's flush
-// arithmetic stays exact).
+// pointer ten times; and the open fetch line lives in locals. The open
+// line starts closed on every call (curLine holds noLine, which no
+// fetch's line number equals).
 func (st *replayState) run(lo, hi int) {
 	var (
 		ready      = &st.ready
@@ -157,16 +156,11 @@ func (st *replayState) run(lo, hi int) {
 		sbDepth    = len(sbuf)
 		lqDepth    = len(lq)
 		pred       = &st.pred
-		fs         = &st.fs
+		il1        = st.il1
 		il1Shift   = st.il1Shift
 
-		lat, ival   = fs.Lat, fs.Ival
-		curLine     = fs.CurLine
-		curReady    = fs.CurReady
-		curBankFree = fs.CurBankFree
-		seq         = fs.Seq
-		conflicts   = fs.Conflicts
-		huf         = fs.HUF
+		open    cache.FetchLine
+		curLine = noLine
 
 		lastIssue  = st.lastIssue
 		slotsUsed  = st.slotsUsed
@@ -205,41 +199,17 @@ func (st *replayState) run(lo, hi int) {
 			}
 			fetchAddr := codeBase + mem.Addr(pc)*isa.InstBytes
 			var fetchDone int64
-			if line := fetchAddr >> il1Shift; line == curLine {
-				cpos := pos64(*curBankFree - fetchAt) // bank-conflict delay, 0 when free
-				conflicts += cpos
-				start := fetchAt + cpos
-				fetchDone = start + lat
-				*curBankFree = start + ival
-				seq++
-				hpos := pos64(curReady - fetchDone) // hit-under-fill cap, 0 when filled
-				huf += hpos
-				fetchDone += hpos
-			} else {
-				// Line switch: sync the stream's counters (Switch may flush a
-				// slot or Close, both of which read them), then reload every
-				// local from the stream's post-switch state. Without a bare
-				// IL1 the stream stays closed and every fetch lands here.
-				fs.Seq, fs.Conflicts, fs.HUF = seq, conflicts, huf
-				if st.il1 != nil && fs.Switch(line) {
-					curLine, curReady, curBankFree = fs.CurLine, fs.CurReady, fs.CurBankFree
-					start := fetchAt
-					if bf := *curBankFree; bf > start {
-						conflicts += bf - start
-						start = bf
-					}
-					fetchDone = start + lat
-					*curBankFree = start + ival
-					seq++
-					if fetchDone < curReady {
-						huf += curReady - fetchDone
-						fetchDone = curReady
-					}
-				} else {
-					fetchDone = imem.Access(fetchAt, mem.Req{Addr: fetchAddr, Bytes: isa.InstBytes, Kind: mem.Fetch})
-					curLine, curReady, curBankFree = fs.CurLine, fs.CurReady, fs.CurBankFree
-					seq, conflicts, huf = fs.Seq, fs.Conflicts, fs.HUF
+			line := fetchAddr >> il1Shift
+			if line != curLine && il1 != nil {
+				if fl, ok := il1.OpenFetch(line); ok {
+					open, curLine = fl, line
 				}
+			}
+			if line == curLine {
+				fetchDone = il1.FetchHit(fetchAt, open)
+			} else {
+				fetchDone = imem.Access(fetchAt, mem.Req{Addr: fetchAddr, Bytes: isa.InstBytes, Kind: mem.Fetch})
+				curLine = noLine
 			}
 
 			base := max(fetchDone, redirectAt)
@@ -333,7 +303,6 @@ func (st *replayState) run(lo, hi int) {
 		}
 		lo = first + end
 	}
-	fs.Seq, fs.Conflicts, fs.HUF = seq, conflicts, huf
 	st.lastIssue = lastIssue
 	st.slotsUsed = slotsUsed
 	st.fetchLast = fetchLast

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,6 +44,25 @@ func kernelProg(reps int32) *isa.Program {
 	}}
 }
 
+// thrashProg loops k times over three blocks whose first instructions,
+// at PCs 1, 128 and 256, lie 1 KiB apart: in newKernelSystem's 2-way,
+// 8-set IL1 their lines share one set, so each pass evicts a line the
+// pass fetched from a moment before. The blocks at 1 and 128 hold a
+// single B each, the block at 256 the loop's ADDI and BNE.
+func thrashProg(k int32) *isa.Program {
+	insts := make([]isa.Inst, 259)
+	for i := range insts {
+		insts[i] = isa.Inst{Op: isa.OpNOP}
+	}
+	insts[0] = isa.Inst{Op: isa.OpMOVI, Rd: 1, Imm: k}
+	insts[1] = isa.Inst{Op: isa.OpB, Imm: 126}   // to 128
+	insts[128] = isa.Inst{Op: isa.OpB, Imm: 127} // to 256
+	insts[256] = isa.Inst{Op: isa.OpADDI, Rd: 1, Ra: 1, Imm: -1}
+	insts[257] = isa.Inst{Op: isa.OpBNE, Ra: 1, Rb: isa.ZR, Imm: -257} // back to 1
+	insts[258] = isa.Inst{Op: isa.OpHALT}
+	return &isa.Program{DataSize: 64, Insts: insts}
+}
+
 // wrapped hides a port's concrete type, the way a front-end or the
 // timing oracle does, so the kernel must call it through mem.Port.
 type wrapped struct{ mem.Port }
@@ -76,6 +97,32 @@ func newKernelSystem(wrapIL1, direct bool) *kernelSystem {
 	return s
 }
 
+// diffCache names the first piece of cache state, beyond Stats, that
+// differs between got and want: the LRU clock, the bank-conflict and
+// hit-under-fill counters, the bank clocks, and every line of every set
+// with its LRU stamp. It returns "" when they all agree.
+func diffCache(got, want *cache.Cache) string {
+	if g, w := got.UseClock(), want.UseClock(); g != w {
+		return fmt.Sprintf("use clock %d, want %d", g, w)
+	}
+	if g, w := got.BankConflictCycles, want.BankConflictCycles; g != w {
+		return fmt.Sprintf("bank-conflict cycles %d, want %d", g, w)
+	}
+	if g, w := got.HitUnderFillCycles, want.HitUnderFillCycles; g != w {
+		return fmt.Sprintf("hit-under-fill cycles %d, want %d", g, w)
+	}
+	if g, w := got.BusyClocks(), want.BusyClocks(); !slices.Equal(g, w) {
+		return fmt.Sprintf("bank clocks %v, want %v", g, w)
+	}
+	cfg := want.Config()
+	for set := range cfg.Sets() {
+		if g, w := got.SetView(set), want.SetView(set); !slices.Equal(g, w) {
+			return fmt.Sprintf("set %d %+v, want %+v", set, g, w)
+		}
+	}
+	return ""
+}
+
 // timingOf drops the architectural state so two Results compare on
 // their timing and retirement counters alone.
 func timingOf(r *Result) Result {
@@ -89,28 +136,33 @@ func timingOf(r *Result) Result {
 // wrapped, and under several branch-predictor table sizes (1 aliases
 // every branch onto one counter; 0 and the non-power-of-two 3 fall back
 // to the default 512), against live execution: every Result counter, the traffic each cache saw and the
-// front end's own stats must be identical. For Direct, those stats are
-// its per-access class counts. The trace spans three chunks, so the
+// front end's own stats must be identical, and so must the IL1's
+// state beyond its stats (diffCache). For Direct, the front end's stats
+// are its per-access class counts. The trace spans three chunks, so the
 // kernel's state crosses two chunk boundaries; a second replay is cut by
 // Interrupt probes every 777 records, so the predictor's counters also
-// cross range boundaries.
+// cross range boundaries. The thrashing-IL1 case runs thrashProg, whose
+// fetch misses evict the line the replay loop holds open.
 func TestReplayMatchesLive(t *testing.T) {
-	prog := kernelProg(50)
-	tr, err := Capture(prog, NewState(prog), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kernel, thrash := kernelProg(50), thrashProg(100)
 	cases := []struct {
 		name            string
 		wrapIL1, direct bool
+		prog            *isa.Program
 	}{
-		{"direct", false, true},
-		{"buffered", false, false},
-		{"direct-wrapped-il1", true, true},
-		{"buffered-wrapped-il1", true, false},
+		{"direct", false, true, kernel},
+		{"buffered", false, false, kernel},
+		{"direct-wrapped-il1", true, true, kernel},
+		{"buffered-wrapped-il1", true, false, kernel},
+		{"thrashing-il1", false, true, thrash},
 	}
 	probed := &ReplayCtl{Interrupt: func() error { return nil }, InterruptEvery: 777}
 	for _, tc := range cases {
+		prog := tc.prog
+		tr, err := Capture(prog, NewState(prog), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			for _, entries := range []int{0, 1, 2, 3, 64, 4096} {
 				cfg := DefaultConfig()
@@ -121,7 +173,11 @@ func TestReplayMatchesLive(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want.Mispredicts == 0 || want.Loads == 0 || want.Stores == 0 || want.Prefetches == 0 {
+					if prog == thrash {
+						if live.il1.Evictions < 100 {
+							t.Errorf("IL1 evicted %d lines, want one or more per pass", live.il1.Evictions)
+						}
+					} else if want.Mispredicts == 0 || want.Loads == 0 || want.Stores == 0 || want.Prefetches == 0 {
 						t.Errorf("program does not exercise every record class: %+v", timingOf(want))
 					}
 					for _, ctl := range []*ReplayCtl{nil, probed} {
@@ -140,6 +196,9 @@ func TestReplayMatchesLive(t *testing.T) {
 						if g, w := rep.il1.Stats(), live.il1.Stats(); g != w {
 							t.Errorf("IL1 stats: %s replay %+v, live %+v", pass, g, w)
 						}
+						if d := diffCache(rep.il1, live.il1); d != "" {
+							t.Errorf("IL1 after %s replay: %s", pass, d)
+						}
 						if g, w := rep.dl1.Stats(), live.dl1.Stats(); g != w {
 							t.Errorf("DL1 stats: %s replay %+v, live %+v", pass, g, w)
 						}
@@ -154,8 +213,8 @@ func TestReplayMatchesLive(t *testing.T) {
 }
 
 // TestReplayWrappedIL1SeesEveryFetch pins the wrapped-IL1 branch: with
-// the fetch stream closed, the instruction port is called once per
-// retired record, at the same cycles as in a live run.
+// no bare IL1 to hold a line open, the instruction port is called once
+// per retired record, at the same cycles as in a live run.
 func TestReplayWrappedIL1SeesEveryFetch(t *testing.T) {
 	prog := kernelProg(1)
 	tr, err := Capture(prog, NewState(prog), 0)

@@ -349,9 +349,7 @@ func (c *CPU) ReplayTraceCtl(tr *Trace, ctl *ReplayCtl) (res *Result, aborted bo
 			}
 			nextProbe += rc.CheckEvery
 		}
-		// Interrupt probe: abandon the pass with the probe's error. The
-		// system is discarded with it, so its open fetch stream's
-		// unflushed bookkeeping is irrelevant.
+		// Interrupt probe: abandon the pass with the probe's error.
 		if pos == nextIntr {
 			if err := rc.Interrupt(); err != nil {
 				return nil, false, err

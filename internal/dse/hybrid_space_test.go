@@ -92,9 +92,7 @@ func hybridEval(t *testing.T, eng dse.Engine) *dse.Evaluation {
 // checkedSuite is a replaying suite over the hybrid bench slice with the
 // timing oracle on.
 func checkedSuite(t *testing.T, jobs int) *experiments.Suite {
-	s := experiments.NewSuiteJobs(hybridBenches(t), jobs)
-	s.SetCheck(true)
-	return s
+	return experiments.NewSuiteJobs(hybridBenches(t), jobs).WithCheck(true)
 }
 
 // TestHybridSpaceLiveVsReplayAndWorkers is the hybrid determinism

@@ -38,8 +38,7 @@ func TestSuiteKeyMemo(t *testing.T) {
 			var s *Suite
 			for i := 0; i < len(pts); i += stride {
 				if i%block < stride {
-					s = NewSuiteJobs([]polybench.Bench{b}, 1)
-					s.SetCheck(check)
+					s = NewSuiteJobs([]polybench.Bench{b}, 1).WithCheck(check)
 				}
 				for _, cfg := range []sim.Config{pts[i].Config, sp.BaselineFor(pts[i].Config)} {
 					cfg = s.applyCheck(cfg)

@@ -304,7 +304,8 @@ func TestSuiteStoreHealsCorruption(t *testing.T) {
 
 // TestSuiteStoreKeysCheckApart pins the Check-flag addressing: a
 // checked run must never be served from an unchecked run's stored
-// entry (the whole point of -check is that the oracle actually runs).
+// entry or memo (the whole point of -check is that the oracle actually
+// runs), while a WithCheck copy of a suite still shares its captures.
 func TestSuiteStoreKeysCheckApart(t *testing.T) {
 	dir := t.TempDir()
 	b := storeBench(t)
@@ -324,9 +325,8 @@ func TestSuiteStoreKeysCheckApart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := NewSuiteJobs([]polybench.Bench{b}, 1)
+	s2 := NewSuiteJobs([]polybench.Bench{b}, 1).WithCheck(true)
 	s2.SetStore(st2)
-	s2.SetCheck(true)
 	if s2.Stored(b, cfg) {
 		t.Fatal("checked lookup matched an unchecked entry")
 	}
@@ -335,5 +335,17 @@ func TestSuiteStoreKeysCheckApart(t *testing.T) {
 	}
 	if got := st2.Stats().Hits; got != 0 {
 		t.Errorf("checked run hit an unchecked entry (%d hits)", got)
+	}
+
+	// Without a store, the checked copy must simulate on the trace the
+	// unchecked run captured.
+	s3 := NewSuiteJobs([]polybench.Bench{b}, 1)
+	for _, s := range []*Suite{s3, s3.WithCheck(true)} {
+		if _, err := s.Run(b, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sims, caps := s3.SimsRun(), s3.Captures(); sims != 2 || caps != 1 {
+		t.Errorf("unchecked run and its WithCheck copy: %d simulation(s), %d capture(s); want 2 and 1", sims, caps)
 	}
 }

@@ -36,7 +36,8 @@ type Suite struct {
 	// see WithContext).
 	ctx context.Context
 	// check runs every simulation under the internal/check timing
-	// oracle (sim.Config.Check); a contract violation fails the run.
+	// oracle (sim.Config.Check; see WithCheck); a contract violation
+	// fails the run.
 	check bool
 	// traces is the shared compile+capture cache: every simulation is a
 	// trace replay (capture the functional stream once per kernel
@@ -123,12 +124,6 @@ func (s *Suite) Jobs() int { return s.pool.Workers() }
 // stats.RunEvent). Install it before running experiments.
 func (s *Suite) SetProgress(fn stats.ProgressFunc) { s.pool.SetProgress(fn) }
 
-// SetCheck turns the timing oracle on or off for every simulation the
-// suite runs from now on (the sttexplore -check flag). Checked and
-// unchecked runs are memoized separately; install it before running
-// experiments.
-func (s *Suite) SetCheck(on bool) { s.check = on }
-
 // SetStore installs a persistent evaluation store as a second memo tier
 // behind the in-memory pool (the sttexplore -store flag; off by
 // default). Results are byte-identical with or without it — a stored
@@ -205,6 +200,17 @@ func (s *Suite) WithContext(ctx context.Context) *Suite {
 	return &c
 }
 
+// WithCheck returns a shallow copy of the suite whose simulations run
+// under the timing oracle when on, or without it (the sttexplore -check
+// flag). The pool, memo, trace cache and store stay shared: the memo
+// and store keys tell checked runs from unchecked ones, so the two
+// modes share only compiles and captures.
+func (s *Suite) WithCheck(on bool) *Suite {
+	c := *s
+	c.check = on
+	return &c
+}
+
 // benchKey names a benchmark at its problem size. The size must be
 // part of every key: tests rebind Bench.Default, and a suite mixing
 // sizes of one bench would otherwise serve the wrong result.
@@ -237,10 +243,10 @@ func (s *Suite) RunContext(ctx context.Context, b polybench.Bench, cfg sim.Confi
 	if r, done, _ := s.pool.Peek(key); done {
 		return r, nil
 	}
-	m := gangMember{key: key, label: runLabel(b, cfg), keys: k, cfg: cfg}
+	m := groupMember{key: key, label: runLabel(b, cfg), keys: k, cfg: cfg}
 	r, err := s.pool.DoLabeled(ctx, key, m.label,
 		func(ctx context.Context) (*sim.RunResult, error) {
-			r, _, err := s.execute(ctx, b, []gangMember{m}, nil)
+			r, _, err := s.execute(ctx, b, []groupMember{m}, nil)
 			return r, err
 		})
 	if err != nil {
@@ -257,7 +263,7 @@ func (s *Suite) RunContext(ctx context.Context, b polybench.Bench, cfg sim.Confi
 // measured pass aborted.
 func (s *Suite) ReplayCtl(b polybench.Bench, cfg sim.Config, ctl *sim.ReplayCtl) (*sim.RunResult, bool, error) {
 	cfg = s.applyCheck(cfg)
-	r, aborted, err := s.execute(s.ctx, b, []gangMember{{cfg: cfg}}, ctl)
+	r, aborted, err := s.execute(s.ctx, b, []groupMember{{cfg: cfg}}, ctl)
 	if err != nil {
 		return nil, false, fmt.Errorf("experiments: %s on %s: %w", b.Name, cfg.Name, err)
 	}
@@ -293,9 +299,9 @@ func (s *Suite) Prefetch(benches []polybench.Bench, cfgs ...sim.Config) error {
 	return s.PrefetchSpecs(specs)
 }
 
-// gangMember is one configuration of a warm group with its memo
+// groupMember is one configuration of a warm group with its memo
 // identity.
-type gangMember struct {
+type groupMember struct {
 	key, label string
 	keys       configKeys
 	cfg        sim.Config
@@ -329,7 +335,7 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 	}
 	type group struct {
 		bench   polybench.Bench
-		members []gangMember
+		members []groupMember
 	}
 	groups := make(map[groupKey]*group)
 	var order []groupKey
@@ -352,7 +358,7 @@ func (s *Suite) PrefetchSpecs(specs []Spec) error {
 			groups[gk] = g
 			order = append(order, gk)
 		}
-		g.members = append(g.members, gangMember{key: key, label: runLabel(sp.Bench, cfg), keys: k, cfg: cfg})
+		g.members = append(g.members, groupMember{key: key, label: runLabel(sp.Bench, cfg), keys: k, cfg: cfg})
 	}
 
 	tasks := make([]runner.Task[string, *sim.RunResult], 0, len(order))
@@ -419,14 +425,14 @@ func (s *Suite) resolveDigests(specs []Spec) (wait func()) {
 // slot and returns the first member's result; it is the suite's only
 // path to a simulation. A full run (nil ctl) takes each member from the
 // persistent store when it holds one, replays the misses as one group
-// (replay.RunGang: shared warm-up, then each member's measured pass)
+// (replay.RunGroup: shared warm-up, then each member's measured pass)
 // and publishes them to the store under the key it looked up, then
 // publishes every member but the first into the memo (the first is the
 // caller's task). A member that fails gets no result
 // and its error fails the call once the others are published. A partial
 // run (non-nil ctl) describes a prefix, so it skips the store and the
 // memo; the returned bool reports whether its measured pass aborted.
-func (s *Suite) execute(ctx context.Context, b polybench.Bench, members []gangMember, ctl *sim.ReplayCtl) (*sim.RunResult, bool, error) {
+func (s *Suite) execute(ctx context.Context, b polybench.Bench, members []groupMember, ctl *sim.ReplayCtl) (*sim.RunResult, bool, error) {
 	results := make([]*sim.RunResult, len(members))
 	cached := make([]bool, len(members))
 	keys := make([]store.Key, len(members)) // zero: the member skips the store
@@ -455,7 +461,7 @@ func (s *Suite) execute(ctx context.Context, b polybench.Bench, members []gangMe
 	var err error
 	if len(miss) > 0 {
 		var rs []*sim.RunResult
-		rs, aborted, err = replay.RunGang(ctx, s.traces, b, cfgs, ctl)
+		rs, aborted, err = replay.RunGroup(ctx, s.traces, b, cfgs, ctl)
 		for j, r := range rs {
 			if r == nil {
 				continue

@@ -12,7 +12,7 @@ import (
 	"sttdl1/internal/sim"
 )
 
-// TestRunGangRecyclesCaches replays one smoke warm group on atax twice
+// TestRunGroupRecyclesCaches replays one smoke warm group on atax twice
 // and measures the second replay's allocations: every system of the
 // first returned its cache arrays on release, so the second must build
 // its hierarchies on them and allocate less than one 2 MB/16-way L2's
@@ -20,7 +20,7 @@ import (
 // 1.15 MB per member. GC stays off so the pool keeps what the first
 // replay released, and one P keeps every released array on the P that
 // asks for it next.
-func TestRunGangRecyclesCaches(t *testing.T) {
+func TestRunGroupRecyclesCaches(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
@@ -47,13 +47,13 @@ func TestRunGangRecyclesCaches(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	traces := replay.NewCache()
 	ctx := context.Background()
-	first, _, err := replay.RunGang(ctx, traces, b, group, nil)
+	first, _, err := replay.RunGroup(ctx, traces, b, group, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	second, _, err := replay.RunGang(ctx, traces, b, group, nil)
+	second, _, err := replay.RunGroup(ctx, traces, b, group, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

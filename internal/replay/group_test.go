@@ -14,12 +14,12 @@ import (
 	"sttdl1/internal/sim"
 )
 
-// gangConfigs builds a batch of gang members sharing compile options
+// groupConfigs builds a batch of group members sharing compile options
 // (the plain arm of the Fig. 3 matrix, cycled to the requested width),
-// so one gang mixes both kinds of data port: a Direct front end (SRAM
+// so one group mixes both kinds of data port: a Direct front end (SRAM
 // baseline, drop-in STT) and the VWB. Repeats are deliberate: a sound
-// gang must give duplicated members identical results.
-func gangConfigs(width int) []sim.Config {
+// group must give duplicated members identical results.
+func groupConfigs(width int) []sim.Config {
 	presets := []func() sim.Config{sim.BaselineSRAM, sim.DropInSTT, sim.ProposalVWB}
 	out := make([]sim.Config, width)
 	for i := range out {
@@ -28,19 +28,19 @@ func gangConfigs(width int) []sim.Config {
 	return out
 }
 
-// TestGangReplayMatchesSerial replays the same members serially and
+// TestGroupReplayMatchesSerial replays the same members serially and
 // in batches of 1, 2 and 8 and demands bit-identical results per
 // member. Because every batch size is compared against the same serial
 // reference, this also pins composition independence: a member's result
 // cannot depend on who else is in its batch.
-func TestGangReplayMatchesSerial(t *testing.T) {
+func TestGroupReplayMatchesSerial(t *testing.T) {
 	b, ok := polybench.ByName("atax")
 	if !ok {
 		t.Fatal("unknown benchmark atax")
 	}
 	traces := replay.NewCache()
 	ctx := context.Background()
-	cfgs := gangConfigs(8)
+	cfgs := groupConfigs(8)
 	serial := make([]*sim.RunResult, len(cfgs))
 	for i, cfg := range cfgs {
 		res, err := replay.Run(ctx, traces, b, cfg)
@@ -52,7 +52,7 @@ func TestGangReplayMatchesSerial(t *testing.T) {
 	for _, size := range []int{1, 2, 8} {
 		for lo := 0; lo < len(cfgs); lo += size {
 			hi := min(lo+size, len(cfgs))
-			batch, _, err := replay.RunGang(ctx, traces, b, cfgs[lo:hi], nil)
+			batch, _, err := replay.RunGroup(ctx, traces, b, cfgs[lo:hi], nil)
 			if err != nil {
 				t.Fatalf("batch size %d [%d:%d]: %v", size, lo, hi, err)
 			}
@@ -63,27 +63,27 @@ func TestGangReplayMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGangReplayOrderIndependent permutes the batch and checks the
+// TestGroupReplayOrderIndependent permutes the batch and checks the
 // results follow the permutation exactly: member order inside a group is
 // timing-irrelevant.
-func TestGangReplayOrderIndependent(t *testing.T) {
+func TestGroupReplayOrderIndependent(t *testing.T) {
 	b, ok := polybench.ByName("atax")
 	if !ok {
 		t.Fatal("unknown benchmark atax")
 	}
 	traces := replay.NewCache()
 	ctx := context.Background()
-	cfgs := gangConfigs(6)
+	cfgs := groupConfigs(6)
 	perm := []int{4, 2, 0, 5, 1, 3}
 	permuted := make([]sim.Config, len(cfgs))
 	for i, p := range perm {
 		permuted[i] = cfgs[p]
 	}
-	straight, _, err := replay.RunGang(ctx, traces, b, cfgs, nil)
+	straight, _, err := replay.RunGroup(ctx, traces, b, cfgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shuffled, _, err := replay.RunGang(ctx, traces, b, permuted, nil)
+	shuffled, _, err := replay.RunGroup(ctx, traces, b, permuted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

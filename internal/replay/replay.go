@@ -185,11 +185,11 @@ func functionalDigest(ck *compile.Compiled) ([sha256.Size]byte, error) {
 	return d, nil
 }
 
-// Run executes bench b under cfg by timing replay: RunGang of one
+// Run executes bench b under cfg by timing replay: RunGroup of one
 // configuration. The result is byte-identical to sim.Run for the same
 // inputs.
 func Run(ctx context.Context, c *Cache, b polybench.Bench, cfg sim.Config) (*sim.RunResult, error) {
-	rs, _, err := RunGang(ctx, c, b, []sim.Config{cfg}, nil)
+	rs, _, err := RunGroup(ctx, c, b, []sim.Config{cfg}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -222,7 +222,7 @@ func cancelCtl(ctx context.Context, ctl *sim.ReplayCtl) *sim.ReplayCtl {
 	return &out
 }
 
-// RunGang executes bench b under a batch of configurations by timing
+// RunGroup executes bench b under a batch of configurations by timing
 // replay (sim.ReplayGroup: shared warm-ups, then one trace walk per
 // member and pass): the memoized compile + capture once, one fresh
 // system per configuration, then the group replay under ctl; the
@@ -240,14 +240,14 @@ func cancelCtl(ctx context.Context, ctl *sim.ReplayCtl) *sim.ReplayCtl {
 // instead of after the full simulation; the probe never fires on a live
 // context, so results are unchanged. A member that fails gets a nil
 // result while the others complete, as in sim.ReplayGroup.
-func RunGang(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config, ctl *sim.ReplayCtl) ([]*sim.RunResult, bool, error) {
+func RunGroup(ctx context.Context, c *Cache, b polybench.Bench, cfgs []sim.Config, ctl *sim.ReplayCtl) ([]*sim.RunResult, bool, error) {
 	if len(cfgs) == 0 {
 		return nil, false, nil
 	}
 	opts := sim.CompileOptions(cfgs[0])
 	for i, cfg := range cfgs[1:] {
 		if sim.CompileOptions(cfg) != opts {
-			return nil, false, fmt.Errorf("replay: gang member %d of %s has different compile options", i+1, b.Name)
+			return nil, false, fmt.Errorf("replay: group member %d of %s has different compile options", i+1, b.Name)
 		}
 	}
 	ck, tr, err := c.Trace(ctx, b, opts)

@@ -191,9 +191,7 @@ func evalSmoke(t *testing.T, eng dse.Engine) *dse.Evaluation {
 // given worker count, checked or not.
 func smokeEval(t *testing.T, jobs int, check bool) *dse.Evaluation {
 	t.Helper()
-	s := experiments.NewSuiteJobs(smokeBenches(t), jobs)
-	s.SetCheck(check)
-	return evalSmoke(t, s)
+	return evalSmoke(t, experiments.NewSuiteJobs(smokeBenches(t), jobs).WithCheck(check))
 }
 
 // TestSmokeSpaceReplayMatchesLive runs the smoke design space live and

@@ -176,7 +176,7 @@ func TestServeJobMatchesDse(t *testing.T) {
 	// the SRAM reference) in 6 warm groups.
 	warmUps, sims := 0, 0
 	for _, w := range workers {
-		s := w.suiteFor(false)
+		s := w.engine()
 		warmUps += s.WarmUps()
 		sims += s.SimsRun()
 	}
@@ -195,8 +195,8 @@ func TestServeJobMatchesDse(t *testing.T) {
 	}
 	// Every shard was published to the store, so the stitch scored the
 	// job from store reads alone and never executed a kernel.
-	if n := e.srv.stitchPlain.Captures() + e.srv.stitchChecked.Captures(); n != 0 {
-		t.Errorf("stitch suites performed %d capture(s), want 0", n)
+	if n := e.srv.stitchSuite.Captures(); n != 0 {
+		t.Errorf("stitch suite performed %d capture(s), want 0", n)
 	}
 
 	// The table and JSON formats render from the same evaluation.

@@ -54,12 +54,11 @@ type Server struct {
 	opts Options
 	mux  *http.ServeMux
 
-	// Two long-lived stitch suites (plain and oracle-checked: the modes
-	// memoize separately) shared across jobs — a resubmitted job's
-	// stitch is served from the in-memory memo and the store without
-	// simulating anything, which is where warm-job latency goes to
-	// near zero.
-	stitchPlain, stitchChecked *experiments.Suite
+	// stitchSuite is the long-lived stitch suite shared across jobs and
+	// checking modes (Suite.WithCheck) — a resubmitted job's stitch is
+	// served from the in-memory memo and the store without simulating
+	// anything, which is where warm-job latency goes to near zero.
+	stitchSuite *experiments.Suite
 
 	mu        sync.Mutex
 	jobs      map[string]*job
@@ -110,11 +109,8 @@ func New(opts Options) (*Server, error) {
 		leases: make(map[string]*lease),
 		work:   make(chan struct{}),
 	}
-	s.stitchPlain = experiments.NewSuiteJobs(nil, opts.Jobs)
-	s.stitchPlain.SetStore(opts.Store)
-	s.stitchChecked = experiments.NewSuiteJobs(nil, opts.Jobs)
-	s.stitchChecked.SetCheck(true)
-	s.stitchChecked.SetStore(opts.Store)
+	s.stitchSuite = experiments.NewSuiteJobs(nil, opts.Jobs)
+	s.stitchSuite.SetStore(opts.Store)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -712,11 +708,7 @@ func (s *Server) handleFail(w http.ResponseWriter, r *http.Request) {
 // way the output is byte-identical to `sttexplore dse` by the
 // determinism contract.
 func (s *Server) stitch(j *job) {
-	suite := s.stitchPlain
-	if j.spec.Check {
-		suite = s.stitchChecked
-	}
-	eng := suite.WithContext(j.ctx)
+	eng := s.stitchSuite.WithCheck(j.spec.Check).WithContext(j.ctx)
 	var err error
 	var ev *dse.Evaluation
 	var res *dse.SearchResult

@@ -42,8 +42,8 @@ type Worker struct {
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
 
-	mu     sync.Mutex
-	suites map[bool]*experiments.Suite
+	mu    sync.Mutex
+	suite *experiments.Suite
 	// sims counts completed simulations across the worker's life; each
 	// lease reports its own delta against a snapshot.
 	sims atomic.Int64
@@ -116,25 +116,20 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// suiteFor returns the worker's long-lived suite for the checking mode:
-// shared across leases and jobs, so repeated shards of overlapping
-// spaces are served from the in-memory memo before the store is even
-// consulted.
-func (w *Worker) suiteFor(check bool) *experiments.Suite {
+// engine returns the worker's long-lived suite, shared across leases,
+// jobs and checking modes (Suite.WithCheck): repeated shards of
+// overlapping spaces are served from the in-memory memo before the
+// store is even consulted, and checked and unchecked jobs share its
+// compiles and captures.
+func (w *Worker) engine() *experiments.Suite {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.suites == nil {
-		w.suites = make(map[bool]*experiments.Suite)
+	if w.suite == nil {
+		w.suite = experiments.NewSuiteJobs(nil, w.Jobs)
+		w.suite.SetStore(w.Store)
+		w.suite.SetProgress(func(stats.RunEvent) { w.sims.Add(1) })
 	}
-	s := w.suites[check]
-	if s == nil {
-		s = experiments.NewSuiteJobs(nil, w.Jobs)
-		s.SetCheck(check)
-		s.SetStore(w.Store)
-		s.SetProgress(func(stats.RunEvent) { w.sims.Add(1) })
-		w.suites[check] = s
-	}
-	return s
+	return w.suite
 }
 
 // execute runs one granted shard: heartbeats on a TTL/3 cadence keep
@@ -215,7 +210,7 @@ func (w *Worker) runShard(ctx context.Context, g *LeaseGrant) error {
 		}
 		benches = append(benches, b)
 	}
-	eng := w.suiteFor(g.Check).WithContext(ctx)
+	eng := w.engine().WithCheck(g.Check).WithContext(ctx)
 	if g.Search == "guided" {
 		_, err := dse.Search(eng, benches, sp, dse.SearchOptions{Budget: g.Budget, Seed: g.Seed})
 		return err

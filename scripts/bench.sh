@@ -85,9 +85,9 @@ warm_bytes=$(field 'BenchmarkStoreSweep/warm' 5)
 warm_allocs=$(field 'BenchmarkStoreSweep/warm' 7)
 
 rfield() { printf '%s\n' "$replaybench" | awk -v pat="$1" -v f="$2" '$0 ~ pat { print $f; exit }'; }
-gang_ns=$(rfield 'BenchmarkReplaySweep/gang' 3)
-gang_bytes=$(rfield 'BenchmarkReplaySweep/gang' 5)
-gang_allocs=$(rfield 'BenchmarkReplaySweep/gang' 7)
+replay_ns=$(rfield 'BenchmarkReplaySweep/cold' 3)
+replay_bytes=$(rfield 'BenchmarkReplaySweep/cold' 5)
+replay_allocs=$(rfield 'BenchmarkReplaySweep/cold' 7)
 
 awk -v space="$space" \
 	-v cold_ms="$cold_ms" -v warm_ms="$warm_ms" \
@@ -95,7 +95,7 @@ awk -v space="$space" \
 	-v wjobs="$warm_jobs" -v wtotal_ms="$warm_total_ms" \
 	-v cns="$cold_ns" -v cb="$cold_bytes" -v ca="$cold_allocs" \
 	-v wns="$warm_ns" -v wb="$warm_bytes" -v wa="$warm_allocs" \
-	-v gns="$gang_ns" -v gb="$gang_bytes" -v ga="$gang_allocs" \
+	-v rns="$replay_ns" -v rb="$replay_bytes" -v ra="$replay_allocs" \
 	'BEGIN {
 		printf "{\n"
 		printf "  \"space\": \"%s\",\n", space
@@ -116,7 +116,7 @@ awk -v space="$space" \
 		printf "    \"warm\": { \"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d }\n", wns, wb, wa
 		printf "  },\n"
 		printf "  \"replay\": {\n"
-		printf "    \"gang\": { \"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d }\n", gns, gb, ga
+		printf "    \"cold\": { \"ns_op\": %d, \"bytes_op\": %d, \"allocs_op\": %d }\n", rns, rb, ra
 		printf "  }\n"
 		printf "}\n"
 	}' >"$out"

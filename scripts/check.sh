@@ -12,6 +12,11 @@ set -eux
 go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
+# The replay loop calls Cache.FetchHit on nearly every record. Called
+# out of line it cost BenchmarkReplayKernel/direct 8.6 % and /vwb 2.8 %
+# (median paired ratios over 15 alternating rounds, 2 vCPUs), so it must
+# stay within the inliner's budget.
+go build -gcflags=-m ./internal/cache 2>&1 | grep -q 'can inline (\*Cache).FetchHit'
 go test ./...
 # The store's record decoder parses bytes from disk by hand (DESIGN.md
 # §7.7): fuzz it briefly from the committed corpus on every check.
